@@ -168,7 +168,7 @@ int main() {
   doc["overhead_statistic"] = std::string("median_paired_ratio");
   doc["target_overhead_pct"] = kTargetOverheadPct;
   doc["within_target"] = within_target;
-  doc["fingerprint"] = fingerprint;
+  doc["fingerprint"] = obs::hex_u64(fingerprint);
   doc["fingerprints_identical_across_workers_and_arms"] = fingerprints_identical;
 
   write_bench_json("BENCH_obs_overhead.json", doc);

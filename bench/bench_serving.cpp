@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     entry["p99_us"] = s.p99_us;
     entry["p999_us"] = s.p999_us;
     entry["max_us"] = s.max_us;
-    entry["fingerprint"] = s.fingerprint;
+    entry["fingerprint"] = obs::hex_u64(s.fingerprint);
     entry["matches_fresh_build"] = true;  // CR_CHECK above aborts otherwise
     doc["schemes"].push_back(std::move(entry));
   };

@@ -1,5 +1,7 @@
 #include "codec/bitstream.hpp"
 
+#include <cstring>
+
 namespace compactroute {
 
 void BitWriter::write(std::uint64_t value, int width) {
@@ -7,22 +9,26 @@ void BitWriter::write(std::uint64_t value, int width) {
   if (width < 64) {
     CR_CHECK_MSG(value < (std::uint64_t{1} << width), "value does not fit width");
   }
-  int b = 0;
-  // Byte-aligned fast path: with the cursor on a byte boundary, LSB-first bit
-  // order makes each group of 8 bits exactly one output byte.
-  if ((bit_count_ & 7) == 0) {
-    for (; b + 8 <= width; b += 8) {
-      bytes_.push_back(static_cast<std::uint8_t>((value >> b) & 0xff));
-      bit_count_ += 8;
+  if (width == 0) return;
+  // OR the value into the partial last byte and the bytes after it: at most
+  // 7 + 64 = 71 bits, i.e. one 8-byte little-endian word plus a spill byte.
+  const std::size_t byte = bit_count_ >> 3;
+  const int shift = static_cast<int>(bit_count_ & 7);
+  bit_count_ += static_cast<std::size_t>(width);
+  bytes_.resize((bit_count_ + 7) >> 3);
+  std::uint8_t* out = bytes_.data() + byte;
+  const std::size_t span = bytes_.size() - byte;
+  if (span >= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, out, 8);
+    word |= value << shift;
+    std::memcpy(out, &word, 8);
+    if (span > 8) out[8] = static_cast<std::uint8_t>(value >> (64 - shift));
+  } else {
+    const std::uint64_t word = value << shift;
+    for (std::size_t i = 0; i < span; ++i) {
+      out[i] = static_cast<std::uint8_t>(out[i] | (word >> (8 * i)));
     }
-  }
-  for (; b < width; ++b) {
-    const std::size_t byte = bit_count_ / 8;
-    if (byte == bytes_.size()) bytes_.push_back(0);
-    if ((value >> b) & 1) {
-      bytes_[byte] = static_cast<std::uint8_t>(bytes_[byte] | (1u << (bit_count_ % 8)));
-    }
-    ++bit_count_;
   }
 }
 
@@ -32,40 +38,6 @@ void BitWriter::write_varint(std::uint64_t value) {
     value >>= 7;
     write(group | (value ? 0x80 : 0), 8);
   } while (value);
-}
-
-std::uint64_t BitReader::read(int width) {
-  CR_CHECK(width >= 0 && width <= 64);
-  CR_CHECK_MSG(cursor_ + static_cast<std::size_t>(width) <= size_ * 8,
-               "bit stream underflow");
-  std::uint64_t value = 0;
-  int b = 0;
-  // Byte-aligned fast path mirroring BitWriter::write.
-  if ((cursor_ & 7) == 0) {
-    for (; b + 8 <= width; b += 8) {
-      value |= std::uint64_t{data_[cursor_ >> 3]} << b;
-      cursor_ += 8;
-    }
-  }
-  for (; b < width; ++b) {
-    const std::size_t byte = cursor_ / 8;
-    if ((data_[byte] >> (cursor_ % 8)) & 1) value |= std::uint64_t{1} << b;
-    ++cursor_;
-  }
-  return value;
-}
-
-std::uint64_t BitReader::read_varint() {
-  std::uint64_t value = 0;
-  int shift = 0;
-  for (;;) {
-    const std::uint64_t group = read(8);
-    value |= (group & 0x7f) << shift;
-    if (!(group & 0x80)) break;
-    shift += 7;
-    CR_CHECK_MSG(shift < 64, "varint too long");
-  }
-  return value;
 }
 
 }  // namespace compactroute

@@ -46,6 +46,9 @@ PackedHierarchicalRouter::decode(NodeId u) const {
   std::vector<std::vector<Entry>> rings(num_levels_);
   for (auto& ring : rings) {
     const std::uint64_t count = reader.read_varint();
+    // A ring holds at most one entry per node; a corrupt count must throw
+    // here, not turn into a huge allocation.
+    CR_CHECK_MSG(count <= n_, "packed ring size out of range");
     ring.resize(count);
     for (Entry& entry : ring) {
       entry.range = ranges.decode(reader);

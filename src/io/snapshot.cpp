@@ -1,8 +1,8 @@
 #include "io/snapshot.hpp"
 
+#include <array>
 #include <cstring>
 #include <fstream>
-#include <unordered_map>
 
 #include "codec/bitstream.hpp"
 #include "core/check.hpp"
@@ -144,31 +144,24 @@ void put_tree(BitWriter& w, const RootedTree& tree) {
   }
 }
 
-/// Rebuilds the tree through the public constructor: local index = position
-/// in the node list (tree.cpp init_nodes), so the restored tree is
-/// bit-identical to the saved one, derived orders included.
+/// Rebuilds the tree positionally: local index = position in the node list,
+/// so the restored tree is bit-identical to the saved one, derived orders
+/// included. RootedTree's constructor rejects duplicates and cycles.
 RootedTree get_tree(BitReader& r, std::size_t n) {
   const std::size_t m = get_count(r, n, "tree size");
   if (m == 0) corrupt("empty tree");
   std::vector<NodeId> nodes(m);
-  std::unordered_map<NodeId, std::size_t> pos;
-  pos.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    nodes[i] = get_node(r, n);
-    pos[nodes[i]] = i;
-  }
+  for (std::size_t i = 0; i < m; ++i) nodes[i] = get_node(r, n);
   const std::size_t root = get_count(r, m - 1, "tree root");
-  std::vector<std::size_t> parent_pos(m, 0);
+  std::vector<int> parent(m, -1);
   std::vector<Weight> weight(m, 0);
   for (std::size_t i = 0; i < m; ++i) {
     if (i == root) continue;
-    parent_pos[i] = get_count(r, m - 1, "tree parent");
+    parent[i] = static_cast<int>(get_count(r, m - 1, "tree parent"));
     weight[i] = get_f64(r);
   }
-  return RootedTree(
-      nodes, nodes[root],
-      [&](NodeId g) { return nodes[parent_pos[pos.at(g)]]; },
-      [&](NodeId g) { return weight[pos.at(g)]; });
+  return RootedTree(std::move(nodes), static_cast<int>(root), std::move(parent),
+                    std::move(weight));
 }
 
 }  // namespace
@@ -205,10 +198,11 @@ struct SnapshotAccess {
   }
 
   static SearchTree decode_search_tree(BitReader& r, std::size_t n) {
-    SearchTree t;
-    t.center_ = get_node(r, n);
-    t.radius_ = get_f64(r);
-    t.tree_ = get_tree(r, n);
+    const NodeId center = get_node(r, n);
+    const Weight radius = get_f64(r);
+    SearchTree t(get_tree(r, n));
+    t.center_ = center;
+    t.radius_ = radius;
     const std::size_t m = t.tree_.size();
     t.level_.resize(m);
     for (std::size_t i = 0; i < m; ++i) {
@@ -687,19 +681,36 @@ std::vector<std::uint8_t> encode_section(
 }  // namespace
 
 std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
-  // IEEE 802.3 CRC32, reflected polynomial, byte-at-a-time table.
+  // IEEE 802.3 CRC32 (reflected polynomial 0xEDB88320), slicing-by-8:
+  // table[k][b] is the CRC contribution of byte b followed by k zero bytes,
+  // so eight input bytes fold into the register with eight independent
+  // lookups. Byte-serial steps handle the tail.
   static const auto table = [] {
-    std::vector<std::uint32_t> t(256);
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? 0xEDB88320u : 0);
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (std::size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint32_t lo = get_u32(data + i) ^ crc;
+    const std::uint32_t hi = get_u32(data + i + 4);
+    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+          table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; i < size; ++i) {
+    crc = table[0][(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -32,6 +32,12 @@ void append_indent(std::string& out, int indent, int depth) {
 
 }  // namespace
 
+std::string hex_u64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

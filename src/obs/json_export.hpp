@@ -68,6 +68,10 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// A 64-bit value (fingerprint, digest) as a "0x%016llx" string. JSON
+/// numbers are doubles, which would drop its low bits.
+std::string hex_u64(std::uint64_t v);
+
 /// Escapes a string for inclusion inside JSON quotes.
 std::string json_escape(const std::string& s);
 

@@ -28,10 +28,19 @@ namespace compactroute {
 
 namespace {
 
+/// Working vectors add_tree clears and refills for every tree, so one build
+/// allocates them once instead of three times per search tree.
+struct TreeScratch {
+  std::vector<int> order;
+  std::vector<int> stack;
+  std::vector<std::pair<NodeId, std::uint32_t>> ids;
+};
+
 /// Appends one search tree to the bank in the SearchTree::store() preorder
 /// (children in RootedTree order), so a lookup descent walks forward in
 /// memory. Returns the tree's bank id.
-std::int32_t add_tree(HopArena::TreeBank& bank, const SearchTree& st) {
+std::int32_t add_tree(HopArena::TreeBank& bank, const SearchTree& st,
+                      TreeScratch& scratch) {
   if (bank.node_base.empty()) {
     bank.node_base.push_back(0);
     bank.lookup_off.push_back(0);
@@ -42,9 +51,10 @@ std::int32_t add_tree(HopArena::TreeBank& bank, const SearchTree& st) {
   const std::size_t m = tree.size();
   const std::int32_t id = static_cast<std::int32_t>(bank.root_global.size());
 
-  std::vector<int> order;
-  order.reserve(m);
-  std::vector<int> stack = {tree.root_local()};
+  std::vector<int>& order = scratch.order;
+  std::vector<int>& stack = scratch.stack;
+  order.clear();
+  stack.assign(1, tree.root_local());
   while (!stack.empty()) {
     const int node = stack.back();
     stack.pop_back();
@@ -76,7 +86,8 @@ std::int32_t add_tree(HopArena::TreeBank& bank, const SearchTree& st) {
   }
 
   // Per-tree sorted (global -> row) table.
-  std::vector<std::pair<NodeId, std::uint32_t>> ids(m);
+  std::vector<std::pair<NodeId, std::uint32_t>>& ids = scratch.ids;
+  ids.resize(m);
   for (std::size_t pos = 0; pos < m; ++pos) {
     ids[pos] = {bank.global[base + pos], base + static_cast<std::uint32_t>(pos)};
   }
@@ -210,6 +221,7 @@ std::shared_ptr<const HopArena> HopArena::build(
 
   auto arena = std::make_shared<HopArena>();
   HopArena& a = *arena;
+  TreeScratch scratch;
   const std::size_t n = hierarchy.net(0).size();  // Y_0 = V
   const int top = hierarchy.top_level();
   const int levels = top + 1;
@@ -354,7 +366,7 @@ std::shared_ptr<const HopArena> HopArena::build(
         const CompactTreeRouter& router = *region.router;
         const std::size_t m = tree.size();
         s.center[rid] = region.center;
-        s.search_tree[rid] = add_tree(a.trees, *region.search);
+        s.search_tree[rid] = add_tree(a.trees, *region.search, scratch);
         for (std::size_t local = 0; local < m; ++local) {
           const int l = static_cast<int>(local);
           s.rt_global.push_back(tree.global_id(l));
@@ -416,8 +428,8 @@ std::shared_ptr<const HopArena> HopArena::build(
     a.simple_tree_of.assign(static_cast<std::size_t>(levels) * n, -1);
     for (int level = 0; level <= top; ++level) {
       for (const NodeId anchor : hierarchy.net(level)) {
-        a.simple_tree_of[static_cast<std::size_t>(level) * n + anchor] =
-            add_tree(a.trees, simple_scheme->level_tree(level, anchor));
+        a.simple_tree_of[static_cast<std::size_t>(level) * n + anchor] = add_tree(
+            a.trees, simple_scheme->level_tree(level, anchor), scratch);
       }
     }
   }
@@ -433,7 +445,7 @@ std::shared_ptr<const HopArena> HopArena::build(
         const SearchTree& st =
             sfni_scheme->search_structure(level, anchor, &root);
         auto [it, inserted] = seen.try_emplace(&st, -1);
-        if (inserted) it->second = add_tree(a.trees, st);
+        if (inserted) it->second = add_tree(a.trees, st, scratch);
         const std::size_t slot = static_cast<std::size_t>(level) * n + anchor;
         a.sfni_tree_of[slot] = it->second;
         a.sfni_root[slot] = root;

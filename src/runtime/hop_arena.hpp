@@ -4,7 +4,7 @@
 // scheme-freeze time into contiguous cache-line-aligned flat arrays.
 //
 // The build-time layout (nested vectors of ring entries, per-tree
-// unordered_map local-id lookups, per-node chunk vectors) makes every hop a
+// local-id lookups, per-node chunk vectors) makes every hop a
 // chain of dependent cache misses. The arena flattens all of it:
 //
 //   * ring entries as (range_lo, range_hi, next_hop, x) SoA rows in one
@@ -13,7 +13,7 @@
 //   * search trees packed in DFS preorder (the store() distribution order),
 //     with children's subtree key ranges, chunk key/data pairs, and
 //     parent/global links as parallel arrays, plus a sorted global->position
-//     table per tree replacing RootedTree::local_id's hash lookup;
+//     table per tree mapping straight to bank rows (no RootedTree::local_id);
 //   * the scale-free region state (Voronoi tree parents, compact-router
 //     DFS intervals + heavy intervals + port lists + light-edge labels,
 //     Lemma 4.3 chain entries, size radii, region membership) flattened into
@@ -198,8 +198,8 @@ class HopArena {
     Slab<std::uint32_t> chunk_off;  // [rows+1]
     Slab<std::uint64_t> chunk_key, chunk_data;
 
-    // Per tree, sorted by global id: global -> row (replaces the
-    // RootedTree::local_id hash map on the serve path).
+    // Per tree, sorted by global id: global -> row (replaces
+    // RootedTree::local_id on the serve path).
     Slab<std::uint32_t> lookup_off;  // [T+1]
     Slab<NodeId> lookup_global;
     Slab<std::uint32_t> lookup_row;

@@ -23,6 +23,7 @@
 //
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -131,7 +132,8 @@ class SearchTree {
 
  private:
   friend struct SnapshotAccess;
-  SearchTree() = default;
+  /// Snapshot restore: the decoder fills in every other member.
+  explicit SearchTree(RootedTree tree) : tree_(std::move(tree)) {}
 
   void build(const MetricSpace& metric, double epsilon, Variant variant);
 

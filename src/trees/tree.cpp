@@ -6,38 +6,63 @@
 
 namespace compactroute {
 
-void RootedTree::init_nodes(const std::vector<NodeId>& nodes, NodeId root) {
-  CR_CHECK(!nodes.empty());
-  global_ = nodes;
-  local_.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const bool inserted = local_.emplace(nodes[i], static_cast<int>(i)).second;
-    CR_CHECK_MSG(inserted, "duplicate node in tree");
-  }
-  const auto it = local_.find(root);
-  CR_CHECK_MSG(it != local_.end(), "root must be among the tree nodes");
-  root_ = it->second;
+RootedTree::RootedTree(std::vector<NodeId> nodes, int root_local,
+                       std::vector<int> parent_local, std::vector<Weight> weight) {
+  const std::size_t m = nodes.size();
+  CR_CHECK_MSG(parent_local.size() == m && weight.size() == m,
+               "tree arrays must have one entry per node");
+  init_nodes(std::move(nodes));
+  CR_CHECK_MSG(root_local >= 0 && static_cast<std::size_t>(root_local) < m,
+               "root must be among the tree nodes");
+  root_ = root_local;
+  finish(std::move(parent_local), std::move(weight));
 }
 
-void RootedTree::finish(const std::vector<NodeId>& parents,
-                        const std::vector<Weight>& weights) {
+void RootedTree::init_nodes(std::vector<NodeId> nodes) {
+  CR_CHECK(!nodes.empty());
+  global_ = std::move(nodes);
+  local_.resize(global_.size());
+  for (std::size_t i = 0; i < global_.size(); ++i) {
+    local_[i] = {global_[i], static_cast<int>(i)};
+  }
+  std::sort(local_.begin(), local_.end());
+  for (std::size_t i = 1; i < local_.size(); ++i) {
+    CR_CHECK_MSG(local_[i - 1].first != local_[i].first, "duplicate node in tree");
+  }
+}
+
+/// Shared tail of both constructors, called once `root_` is set: checks each
+/// non-root parent index (-1 = not a tree node) and weight, then derives the
+/// children lists, subtree sizes and depths.
+void RootedTree::finish(std::vector<int> parent_local, std::vector<Weight> weight) {
   const std::size_t m = global_.size();
-  parent_.assign(m, -1);
-  parent_weight_.assign(m, 0);
-  children_.assign(m, {});
+  parent_local[root_] = -1;
+  weight[root_] = 0;
+  child_off_.assign(m + 1, 0);
   for (std::size_t i = 0; i < m; ++i) {
     if (static_cast<int>(i) == root_) continue;
-    const int p = local_id(parents[i]);
-    CR_CHECK_MSG(p >= 0, "parent must be a tree node");
-    CR_CHECK_MSG(weights[i] >= 0, "edge weights must be non-negative");
-    parent_[i] = p;
-    parent_weight_[i] = weights[i];
-    children_[p].push_back(static_cast<int>(i));
+    CR_CHECK_MSG(parent_local[i] >= 0 &&
+                     static_cast<std::size_t>(parent_local[i]) < m,
+                 "parent must be a tree node");
+    CR_CHECK_MSG(weight[i] >= 0, "edge weights must be non-negative");
+    ++child_off_[parent_local[i]];
   }
-  for (auto& kids : children_) {
-    std::sort(kids.begin(), kids.end(),
+  // Counting sort into CSR: after the inclusive prefix sum child_off_[p] is
+  // the end of p's run, and filling backwards leaves it at the run's start.
+  for (std::size_t i = 1; i <= m; ++i) child_off_[i] += child_off_[i - 1];
+  children_.resize(m - 1);
+  for (std::size_t i = m; i-- > 0;) {
+    if (static_cast<int>(i) != root_) {
+      children_[--child_off_[parent_local[i]]] = static_cast<int>(i);
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    std::sort(children_.begin() + static_cast<std::ptrdiff_t>(child_off_[i]),
+              children_.begin() + static_cast<std::ptrdiff_t>(child_off_[i + 1]),
               [&](int a, int b) { return global_[a] < global_[b]; });
   }
+  parent_ = std::move(parent_local);
+  parent_weight_ = std::move(weight);
 
   // Subtree sizes and depths via one topological pass (children after
   // parents). Detects cycles: every node must be reachable from the root.
@@ -45,7 +70,7 @@ void RootedTree::finish(const std::vector<NodeId>& parents,
   order.reserve(m);
   order.push_back(root_);
   for (std::size_t head = 0; head < order.size(); ++head) {
-    for (int child : children_[order[head]]) order.push_back(child);
+    for (int child : children(order[head])) order.push_back(child);
   }
   CR_CHECK_MSG(order.size() == m, "parent pointers do not form a tree rooted at root");
 
@@ -60,8 +85,10 @@ void RootedTree::finish(const std::vector<NodeId>& parents,
 }
 
 int RootedTree::local_id(NodeId global) const {
-  const auto it = local_.find(global);
-  return it == local_.end() ? -1 : it->second;
+  const auto it = std::lower_bound(
+      local_.begin(), local_.end(), global,
+      [](const std::pair<NodeId, int>& entry, NodeId g) { return entry.first < g; });
+  return it != local_.end() && it->first == global ? it->second : -1;
 }
 
 Weight RootedTree::height() const {
@@ -92,7 +119,7 @@ bool RootedTree::validate(std::string* why) const {
         return fail("node " + std::to_string(global_[i]) +
                     " has an invalid parent index");
       }
-      const auto& siblings = children_[p];
+      const auto siblings = children(p);
       if (std::find(siblings.begin(), siblings.end(), local) == siblings.end()) {
         return fail("node " + std::to_string(global_[i]) +
                     " missing from its parent's child list");
@@ -102,7 +129,7 @@ bool RootedTree::validate(std::string* why) const {
                     std::to_string(global_[i]));
       }
     }
-    for (int child : children_[i]) {
+    for (int child : children(local)) {
       if (child < 0 || static_cast<std::size_t>(child) >= m ||
           parent_[child] != local) {
         return fail("child list of node " + std::to_string(global_[i]) +
@@ -115,7 +142,7 @@ bool RootedTree::validate(std::string* why) const {
   order.reserve(m);
   order.push_back(root_);
   for (std::size_t head = 0; head < order.size() && order.size() <= m; ++head) {
-    for (int child : children_[order[head]]) order.push_back(child);
+    for (int child : children(order[head])) order.push_back(child);
   }
   if (order.size() != m) return fail("not every node is reachable from the root");
   std::vector<std::size_t> sizes(m, 1);

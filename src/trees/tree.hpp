@@ -11,10 +11,12 @@
 // virtual edges whose weight is a metric distance (search trees).
 //
 #include <cstddef>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/check.hpp"
 #include "core/types.hpp"
 
 namespace compactroute {
@@ -27,16 +29,27 @@ class RootedTree {
   template <typename ParentFn, typename WeightFn>
   RootedTree(const std::vector<NodeId>& nodes, NodeId root, ParentFn&& parent_of,
              WeightFn&& weight_of) {
-    init_nodes(nodes, root);
-    std::vector<NodeId> parents(nodes.size(), kInvalidNode);
+    init_nodes(nodes);
+    root_ = local_id(root);
+    CR_CHECK_MSG(root_ >= 0, "root must be among the tree nodes");
+    std::vector<int> parents(nodes.size(), -1);
     std::vector<Weight> weights(nodes.size(), 0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (nodes[i] == root) continue;
-      parents[i] = parent_of(nodes[i]);
+      parents[i] = local_id(parent_of(nodes[i]));
       weights[i] = weight_of(nodes[i]);
     }
-    finish(parents, weights);
+    finish(std::move(parents), std::move(weights));
   }
+
+  /// Positional form: local index i is `nodes[i]`, the root is local
+  /// `root_local`, and every other local i hangs below local
+  /// `parent_local[i]` with edge weight `weight[i]` (the root's entries are
+  /// ignored). Runs the same checks as the callback form (distinct nodes,
+  /// root and parents in range, non-negative weights, acyclic) without
+  /// mapping a global id per node — the snapshot decoder's restore path.
+  RootedTree(std::vector<NodeId> nodes, int root_local,
+             std::vector<int> parent_local, std::vector<Weight> weight);
 
   std::size_t size() const { return global_.size(); }
   int root_local() const { return root_; }
@@ -52,7 +65,10 @@ class RootedTree {
   Weight parent_edge_weight(int local) const { return parent_weight_[local]; }
 
   /// Children in increasing global-id order.
-  const std::vector<int>& children(int local) const { return children_[local]; }
+  std::span<const int> children(int local) const {
+    return {children_.data() + child_off_[local],
+            child_off_[local + 1] - child_off_[local]};
+  }
 
   std::size_t subtree_size(int local) const { return subtree_size_[local]; }
 
@@ -69,15 +85,16 @@ class RootedTree {
   bool validate(std::string* why = nullptr) const;
 
  private:
-  void init_nodes(const std::vector<NodeId>& nodes, NodeId root);
-  void finish(const std::vector<NodeId>& parents, const std::vector<Weight>& weights);
+  void init_nodes(std::vector<NodeId> nodes);
+  void finish(std::vector<int> parent_local, std::vector<Weight> weight);
 
   int root_ = -1;
   std::vector<NodeId> global_;
-  std::unordered_map<NodeId, int> local_;
+  std::vector<std::pair<NodeId, int>> local_;  // (global, local), by global
   std::vector<int> parent_;
   std::vector<Weight> parent_weight_;
-  std::vector<std::vector<int>> children_;
+  std::vector<std::size_t> child_off_;  // CSR offsets into children_ [m+1]
+  std::vector<int> children_;
   std::vector<std::size_t> subtree_size_;
   std::vector<Weight> depth_;
 };

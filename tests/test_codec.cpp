@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "codec/bitstream.hpp"
@@ -219,12 +220,12 @@ TEST(PackedRouter, WorksOnDeepSpider) {
   }
 }
 
-// Golden byte patterns pin the LSB-first wire format: the byte-aligned fast
-// paths in BitWriter::write / BitReader::read must be bit-identical to the
-// per-bit definition, so these arrays must never change.
+// Golden byte patterns pin the LSB-first wire format: the word-level
+// BitWriter::write / BitReader::read must be bit-identical to the per-bit
+// definition, so these arrays must never change.
 TEST(BitStream, GoldenAlignedBytes) {
   BitWriter w;
-  w.write(0xDEADBEEFCAFEBABEULL, 64);  // fully aligned: pure fast path
+  w.write(0xDEADBEEFCAFEBABEULL, 64);  // fully aligned: one whole word
   const std::vector<std::uint8_t> expected = {0xBE, 0xBA, 0xFE, 0xCA,
                                               0xEF, 0xBE, 0xAD, 0xDE};
   EXPECT_EQ(w.bytes(), expected);
@@ -236,7 +237,7 @@ TEST(BitStream, GoldenAlignedBytes) {
 TEST(BitStream, GoldenUnalignedSpill) {
   BitWriter w;
   w.write(1, 1);
-  w.write(0xAB, 8);  // straddles a byte boundary: per-bit path only
+  w.write(0xAB, 8);  // straddles a byte boundary
   const std::vector<std::uint8_t> expected = {0x57, 0x01};
   EXPECT_EQ(w.bytes(), expected);
   EXPECT_EQ(w.bit_count(), 9u);
@@ -249,7 +250,7 @@ TEST(BitStream, GoldenMixedWidths) {
   BitWriter w;
   w.write(0b101, 3);     // unaligned
   w.write(0b00010, 5);   // re-aligns the cursor at bit 8
-  w.write(0xBEEF, 16);   // aligned: fast path
+  w.write(0xBEEF, 16);   // aligned
   w.write(0x0DDC0FFEULL, 32);
   const std::vector<std::uint8_t> expected = {0x15, 0xEF, 0xBE, 0xFE,
                                               0x0F, 0xDC, 0x0D};
@@ -264,7 +265,8 @@ TEST(BitStream, GoldenMixedWidths) {
 
 TEST(BitStream, FastPathMatchesBitwiseDefinition) {
   // Differential check: random mixed-width token streams against a per-bit
-  // reference writer, covering every alignment the fast path can hit.
+  // reference writer, covering every alignment the word-level writer and
+  // reader can hit.
   Prng prng(4242);
   for (int iter = 0; iter < 25; ++iter) {
     BitWriter w;
@@ -296,6 +298,89 @@ TEST(BitStream, FastPathMatchesBitwiseDefinition) {
       ASSERT_EQ(r.read(width), value);
     }
   }
+}
+
+// Per-bit definition of the LSB-first wire format: bit i of the stream is
+// bit (i % 8) of byte i / 8. The oracle for BitReader's word-level read.
+std::uint64_t reference_read(const std::vector<std::uint8_t>& bytes,
+                             std::size_t bit_offset, int width) {
+  std::uint64_t value = 0;
+  for (int b = 0; b < width; ++b) {
+    const std::size_t bit = bit_offset + static_cast<std::size_t>(b);
+    if ((bytes[bit / 8] >> (bit % 8)) & 1) value |= std::uint64_t{1} << b;
+  }
+  return value;
+}
+
+template <typename Fn>
+void expect_invariant_error(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected an InvariantError mentioning \"" << what << "\"";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(BitStream, ReadsEndingOnTheLastByteStayInBounds) {
+  // Each buffer is exactly as long as the read needs, so a reader that
+  // loads a whole word past the end trips ASan here.
+  Prng prng(77);
+  for (const int width : {1, 8, 57, 64}) {
+    for (int shift = 0; shift < 8; ++shift) {
+      const std::size_t bits = static_cast<std::size_t>(shift + width);
+      std::vector<std::uint8_t> bytes((bits + 7) / 8);
+      for (auto& byte : bytes) byte = static_cast<std::uint8_t>(prng.next_u64());
+      BitReader r(bytes);
+      EXPECT_EQ(r.read(shift), reference_read(bytes, 0, shift));
+      EXPECT_EQ(r.read(width), reference_read(bytes, shift, width))
+          << "width " << width << " shift " << shift;
+      EXPECT_EQ(r.bits_consumed(), bits);
+      const int past_end = static_cast<int>(bytes.size() * 8 - bits) + 1;
+      expect_invariant_error([&] { r.read(past_end); }, "bit stream underflow");
+    }
+  }
+}
+
+TEST(BitStream, VarintFromUnalignedCursor) {
+  const std::uint64_t samples[] = {0, 1, 127, 128, 300, 0xffffffff,
+                                   ~std::uint64_t{0}};
+  for (int shift = 1; shift < 8; ++shift) {
+    BitWriter w;
+    w.write(0, shift);
+    for (const std::uint64_t v : samples) w.write_varint(v);
+    w.write(1, 1);
+    BitReader r(w.bytes());
+    r.read(shift);
+    for (const std::uint64_t v : samples) EXPECT_EQ(r.read_varint(), v);
+    EXPECT_EQ(r.read(1), 1u);
+  }
+}
+
+TEST(BitStream, TruncatedVarintUnderflows) {
+  // Aligned: two continuation bytes and then the end of the buffer.
+  const std::vector<std::uint8_t> aligned = {0x80, 0x80};
+  BitReader r1(aligned);
+  expect_invariant_error([&] { r1.read_varint(); }, "bit stream underflow");
+  // Unaligned: every 8-bit group read from bit 3 on has its top bit set.
+  const std::vector<std::uint8_t> unaligned = {0xff, 0xff, 0xff};
+  BitReader r2(unaligned);
+  r2.read(3);
+  expect_invariant_error([&] { r2.read_varint(); }, "bit stream underflow");
+}
+
+TEST(BitStream, OverlongVarintIsRejected) {
+  // Eleven continuation bytes, then a terminator, aligned and unaligned.
+  std::vector<std::uint8_t> aligned(11, 0xff);
+  aligned.push_back(0x01);
+  BitReader r1(aligned);
+  expect_invariant_error([&] { r1.read_varint(); }, "varint too long");
+
+  std::vector<std::uint8_t> unaligned(13, 0xff);
+  unaligned.push_back(0x00);
+  BitReader r2(unaligned);
+  r2.read(5);
+  expect_invariant_error([&] { r2.read_varint(); }, "varint too long");
 }
 
 TEST(TableCodec, EncodedSizeTracksAccountedSize) {

@@ -6,6 +6,7 @@
 
 #include "audit/snapshot_audit.hpp"
 #include "core/parallel.hpp"
+#include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
 #include "io/snapshot.hpp"
@@ -40,10 +41,11 @@ struct FreshStack {
         hier(metric, hierarchy, std::min(eps, 0.5)),
         sf(metric, hierarchy, std::min(eps, 0.5)),
         simple(metric, hierarchy, naming, hier, eps),
-        sfni(metric, hierarchy, naming, sf, eps) {}
+        sfni(metric, hierarchy, naming, sf, eps),
+        epsilon(eps) {}
 
   std::vector<std::uint8_t> encode() const {
-    return encode_snapshot(metric, kEps, hierarchy, naming, hier, sf, simple,
+    return encode_snapshot(metric, epsilon, hierarchy, naming, hier, sf, simple,
                            sfni);
   }
 
@@ -55,6 +57,7 @@ struct FreshStack {
   ScaleFreeLabeledScheme sf;
   SimpleNameIndependentScheme simple;
   ScaleFreeNameIndependentScheme sfni;
+  double epsilon;
 };
 
 /// Save → load → serve fingerprints equal to the fresh build, for all four
@@ -132,6 +135,108 @@ TEST(SnapshotRoundTrip, FileRoundTrip) {
   EXPECT_EQ(loaded.n, stack.metric.n());
   std::remove(path.c_str());
   EXPECT_THROW(read_snapshot_file(path), SnapshotError);
+}
+
+// Golden snapshot bytes: file size, directory CRC and every section CRC of
+// fixed small stacks. Encoder, decoder and CRC changes must leave format v1
+// byte-identical, so these values never change; the section CRCs are
+// recomputed from the payloads too, which pins snapshot_crc32 on real data.
+struct GoldenSnapshot {
+  const char* name;
+  std::size_t bytes;
+  std::uint32_t directory_crc;
+  std::uint32_t section_crc[8];
+};
+
+void expect_golden(const FreshStack& stack, const GoldenSnapshot& golden) {
+  SCOPED_TRACE(golden.name);
+  const std::vector<std::uint8_t> bytes = stack.encode();
+  EXPECT_EQ(bytes.size(), golden.bytes);
+  ASSERT_GE(bytes.size(), 20u);
+  std::uint32_t directory_crc = 0;
+  for (int b = 0; b < 4; ++b) {
+    directory_crc |= std::uint32_t{bytes[16 + b]} << (8 * b);
+  }
+  EXPECT_EQ(directory_crc, golden.directory_crc)
+      << std::hex << "directory crc 0x" << directory_crc;
+  const auto sections = snapshot_directory(bytes);
+  ASSERT_EQ(sections.size(), 8u);
+  EXPECT_EQ(snapshot_crc32(bytes.data() + 20, sections.size() * 24),
+            golden.directory_crc);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    EXPECT_EQ(sections[i].crc, golden.section_crc[i])
+        << std::hex << sections[i].name << " crc 0x" << sections[i].crc;
+    EXPECT_EQ(snapshot_crc32(bytes.data() + sections[i].offset,
+                             static_cast<std::size_t>(sections[i].size)),
+              golden.section_crc[i]);
+  }
+  EXPECT_NO_THROW(decode_snapshot(bytes));
+}
+
+TEST(SnapshotGolden, Grid8x8Eps050) {
+  expect_golden(FreshStack(make_grid(8, 8), 0.5, MetricBackendKind::kDense),
+                {"grid-8x8 eps 0.5",
+                 116577,
+                 0xaf0d0593u,
+                 {0xc949517cu, 0xd54a6104u, 0xc4b84570u, 0xfe4dab99u,
+                  0x6cc3ed9au, 0x9a3ed669u, 0x5ab4b5ecu, 0x2a842f71u}});
+}
+
+TEST(SnapshotGolden, Grid8x8Eps025) {
+  expect_golden(FreshStack(make_grid(8, 8), 0.25, MetricBackendKind::kDense),
+                {"grid-8x8 eps 0.25",
+                 206388,
+                 0x0ab86f27u,
+                 {0xfc8f1c62u, 0xd54a6104u, 0xc4b84570u, 0xfe4dab99u,
+                  0x18390fbfu, 0x8521c13au, 0xa294a390u, 0xd02b018du}});
+}
+
+TEST(SnapshotGolden, PowerLaw128Eps050) {
+  expect_golden(
+      FreshStack(make_power_law(128, 2, 7), 0.5, MetricBackendKind::kDense),
+      {"powerlaw-128 eps 0.5",
+       247568,
+       0x6c74540bu,
+       {0x8629e03bu, 0xd7091eb5u, 0xc8a0dcd5u, 0x581e7106u, 0x9d2b1c45u,
+        0x60299ef8u, 0x3afe5d57u, 0xbf8e547fu}});
+}
+
+// snapshot_crc32 is IEEE 802.3 CRC-32 (reflected 0xEDB88320, init and final
+// xor 0xFFFFFFFF). The bytewise table loop below is the reference definition
+// the word-at-a-time implementation must reproduce for every length and
+// every start alignment.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? 0xEDB88320u : 0);
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrc, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(snapshot_crc32(reinterpret_cast<const std::uint8_t*>(check), 9),
+            0xCBF43926u);
+  EXPECT_EQ(snapshot_crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Prng prng(1234);
+  std::vector<std::uint8_t> buffer(257 + 8);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(prng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const std::uint8_t* start = buffer.data() + offset;
+      ASSERT_EQ(snapshot_crc32(start, length), reference_crc32(start, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 // Loader fuzz: every truncation at a section boundary and every per-section

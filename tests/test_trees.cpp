@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/prng.hpp"
@@ -75,6 +77,61 @@ TEST(RootedTree, DetectsNonTreeParents) {
                           [](NodeId v) { return v == 1 ? 2u : 1u; },  // 1<->2 cycle
                           [](NodeId) { return 1.0; }),
                InvariantError);
+}
+
+TEST(RootedTree, PositionalFormMatchesCallbackForm) {
+  // A shuffled node list so local order, global order and root position all
+  // differ; the positional tree must agree with the callback tree field by
+  // field, derived orders included.
+  const Graph g = make_random_tree(50, 3, 4);
+  const RootedTree reference = tree_from_graph(g, 7);
+  const std::size_t m = reference.size();
+  std::vector<NodeId> nodes(m);
+  std::vector<int> parent(m, -1);
+  std::vector<Weight> weight(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const int local = static_cast<int>(i);
+    nodes[i] = reference.global_id(local);
+    parent[i] = reference.parent(local);
+    weight[i] = reference.parent_edge_weight(local);
+  }
+  const RootedTree tree(nodes, reference.root_local(), parent, weight);
+  ASSERT_EQ(tree.size(), m);
+  EXPECT_EQ(tree.root_local(), reference.root_local());
+  std::string why;
+  EXPECT_TRUE(tree.validate(&why)) << why;
+  for (std::size_t i = 0; i < m; ++i) {
+    const int local = static_cast<int>(i);
+    EXPECT_EQ(tree.global_id(local), reference.global_id(local));
+    EXPECT_EQ(tree.local_id(nodes[i]), local);
+    EXPECT_EQ(tree.parent(local), reference.parent(local));
+    EXPECT_EQ(tree.parent_edge_weight(local), reference.parent_edge_weight(local));
+    EXPECT_EQ(tree.subtree_size(local), reference.subtree_size(local));
+    EXPECT_EQ(tree.depth(local), reference.depth(local));
+    const auto kids = tree.children(local);
+    const auto ref_kids = reference.children(local);
+    EXPECT_TRUE(std::equal(kids.begin(), kids.end(), ref_kids.begin(),
+                           ref_kids.end()));
+    for (std::size_t k = 1; k < kids.size(); ++k) {
+      EXPECT_LT(tree.global_id(kids[k - 1]), tree.global_id(kids[k]));
+    }
+  }
+}
+
+TEST(RootedTree, PositionalFormRejectsMalformedInput) {
+  const std::vector<NodeId> nodes = {4, 9, 2};
+  const std::vector<Weight> unit = {0, 1, 1};
+  // Well-formed: 9 and 2 both hang below 4.
+  EXPECT_NO_THROW(RootedTree(nodes, 0, {-1, 0, 0}, unit));
+  EXPECT_THROW(RootedTree({4, 9, 4}, 0, {-1, 0, 0}, unit), InvariantError);
+  EXPECT_THROW(RootedTree(nodes, 3, {-1, 0, 0}, unit), InvariantError);
+  EXPECT_THROW(RootedTree(nodes, -1, {-1, 0, 0}, unit), InvariantError);
+  EXPECT_THROW(RootedTree(nodes, 0, {-1, 3, 0}, unit), InvariantError);
+  EXPECT_THROW(RootedTree(nodes, 0, {-1, -1, 0}, unit), InvariantError);
+  EXPECT_THROW(RootedTree(nodes, 0, {-1, 2, 1}, unit), InvariantError);  // cycle
+  EXPECT_THROW(RootedTree(nodes, 0, {-1, 0, 0}, {0, 1, -1}), InvariantError);
+  EXPECT_THROW(RootedTree(nodes, 0, {-1, 0}, unit), InvariantError);
+  EXPECT_THROW(RootedTree({}, 0, {}, {}), InvariantError);
 }
 
 class TreeRouterTest : public ::testing::TestWithParam<std::uint64_t> {};

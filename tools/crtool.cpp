@@ -1018,7 +1018,7 @@ int cmd_serve(std::vector<std::string> args) {
     entry["p99_us"] = s.p99_us;
     entry["p999_us"] = s.p999_us;
     entry["max_us"] = s.max_us;
-    entry["fingerprint"] = s.fingerprint;
+    entry["fingerprint"] = obs::hex_u64(s.fingerprint);
     doc["schemes"].push_back(std::move(entry));
   };
   // A subset snapshot (crtool build --schemes light) loads the missing
@@ -1414,9 +1414,7 @@ int cmd_server(std::vector<std::string> args) {
     doc["p999_us"] = pct(0.999);
     // Hex string: a 64-bit digest emitted as a JSON number would round
     // through double and break exact comparison (the CI fingerprint gate).
-    std::ostringstream hex;
-    hex << "0x" << std::hex << digest;
-    doc["digest"] = hex.str();
+    doc["digest"] = obs::hex_u64(digest);
     artifacts_ok &= write_output_file(out_path, doc.dump(2) + "\n");
   }
   if (!obs_out_path.empty()) {
