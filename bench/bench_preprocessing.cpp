@@ -207,48 +207,6 @@ int main() {
     doc["thread_sweep"] = std::move(sweep);
   }
 
-  // Dense vs lazy metric backend: peak metric memory (matrices vs CSR + row
-  // cache) and construction wall time on growing geometric graphs. The lazy
-  // backend's whole point is the memory column: O(n²) vs O(cache).
-  {
-    const std::size_t cache_mb = 4;
-    std::printf("\ndense vs lazy metric backend (cache = %zu MiB):\n", cache_mb);
-    std::printf("%6s | %12s %12s %9s | %9s %9s\n", "n", "dense-mem", "lazy-mem",
-                "ratio", "dense-ms", "lazy-ms");
-    print_rule(70);
-    obs::JsonValue section = obs::JsonValue::array();
-    for (const std::size_t n : {512u, 1024u, 2048u}) {
-      const Graph graph = make_random_geometric(n, 2, 5, 9000 + n);
-      const auto d0 = std::chrono::steady_clock::now();
-      std::size_t dense_bytes = 0;
-      {
-        const MetricSpace dense(graph);
-        dense_bytes = dense.memory_bytes() + dense.csr().memory_bytes();
-      }
-      const double dense_ms = elapsed_ms(d0);
-      const auto l0 = std::chrono::steady_clock::now();
-      const MetricOptions lazy_opts{.backend = MetricBackendKind::kLazy,
-                                    .cache_bytes = cache_mb << 20};
-      const MetricSpace lazy(graph, lazy_opts);
-      const double lazy_ms = elapsed_ms(l0);
-      const std::size_t lazy_bytes = lazy.memory_bytes() + lazy.csr().memory_bytes();
-      const double ratio =
-          lazy_bytes > 0 ? static_cast<double>(dense_bytes) / lazy_bytes : 0;
-      std::printf("%6zu | %12zu %12zu %8.1fx | %9.1f %9.1f\n", n, dense_bytes,
-                  lazy_bytes, ratio, dense_ms, lazy_ms);
-      obs::JsonValue entry = obs::JsonValue::object();
-      entry["n"] = n;
-      entry["cache_mb"] = cache_mb;
-      entry["dense_bytes"] = dense_bytes;
-      entry["lazy_bytes"] = lazy_bytes;
-      entry["mem_ratio"] = ratio;
-      entry["dense_ms"] = dense_ms;
-      entry["lazy_ms"] = lazy_ms;
-      section.push_back(std::move(entry));
-    }
-    doc["dense_vs_lazy"] = std::move(section);
-  }
-
   // Flat-heap Dijkstra vs the pre-refactor priority_queue implementation:
   // full APSP (one run per root) on one thread, so the ratio isolates the
   // hot-path rewrite (CSR scan + preallocated flat binary heap vs

@@ -37,10 +37,6 @@ struct WorkerGuard {
   ~WorkerGuard() { Executor::global().set_workers(previous); }
 };
 
-const char* backend_name(MetricBackendKind kind) {
-  return kind == MetricBackendKind::kDense ? "dense" : "lazy";
-}
-
 }  // namespace
 
 const std::vector<std::string>& campaign_families() {

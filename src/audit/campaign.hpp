@@ -26,7 +26,7 @@
 
 #include "audit/audit.hpp"
 #include "graph/graph.hpp"
-#include "graph/metric_backend.hpp"
+#include "graph/metric.hpp"
 #include "obs/json_export.hpp"
 #include "runtime/server.hpp"
 
@@ -74,7 +74,7 @@ struct CampaignOptions {
   std::vector<std::uint64_t> seeds = {1, 2, 3};
   std::vector<double> epsilons = {0.5};
   std::vector<MetricBackendKind> backends = {MetricBackendKind::kDense,
-                                             MetricBackendKind::kLazy};
+                                             MetricBackendKind::kRowFree};
   std::vector<std::size_t> worker_counts = {1, 4};
   /// Wall-clock budget in seconds; 0 runs the full grid. The sweep stops
   /// *between* cases once the budget is spent (a case is never cut short).

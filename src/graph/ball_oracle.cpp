@@ -16,11 +16,16 @@ namespace compactroute {
 
 namespace {
 
-// One warm Dijkstra workspace per thread, shared across oracles: prepare()
-// resizes on graph change and resets in O(touched) otherwise, so a bounded
-// query costs O(|ball| log |ball| + ball edges) on any thread.
-DijkstraWorkspace& tls_workspace() {
-  static thread_local DijkstraWorkspace ws;
+// Every oracle query's Dijkstra: one run from `sources` into the calling
+// thread's warm workspace (graph/dijkstra.hpp), counted in balls.issued /
+// balls.settled. A bounded run costs O(|ball| log |ball| + ball edges).
+const DijkstraWorkspace& run(const CsrGraph& csr,
+                             std::span<const NodeId> sources,
+                             const DijkstraBounds& bounds) {
+  CR_OBS_COUNT("balls.issued");
+  DijkstraWorkspace& ws = thread_workspace();
+  dijkstra_into(csr, sources, ws, bounds);
+  CR_OBS_ADD("balls.settled", ws.settled().size());
   return ws;
 }
 
@@ -64,16 +69,14 @@ BallOracle::BallOracle(const CsrGraph& csr, Weight scale)
 }
 
 BallView BallOracle::ball(NodeId center, Weight radius) const {
-  CR_OBS_COUNT("balls.issued");
-  DijkstraWorkspace& ws = tls_workspace();
   const NodeId sources[] = {center};
-  dijkstra_into(*csr_, sources, ws, {.radius = radius, .scale = scale_});
-  CR_OBS_ADD("balls.settled", ws.settled().size());
+  const DijkstraWorkspace& ws =
+      run(*csr_, sources, {.radius = radius, .scale = scale_});
 
   // Settle order is ascending (raw distance, id); the canonical row order is
   // ascending (normalized distance, id). Sort under the canonical comparator
-  // in case normalization collapses raw ties — the same re-sort the lazy
-  // backend's bounded ball path performs, so memberships stay bit-identical.
+  // in case normalization collapses raw ties, so memberships and order match
+  // a dense metric row bit for bit.
   std::vector<std::pair<Weight, NodeId>> members;
   members.reserve(ws.settled().size());
   for (const NodeId v : ws.settled()) {
@@ -91,6 +94,13 @@ BallView BallOracle::ball(NodeId center, Weight radius) const {
     view.parent.push_back(ws.parent()[v]);
   }
   return view;
+}
+
+std::size_t BallOracle::ball_size(NodeId center, Weight radius) const {
+  const NodeId sources[] = {center};
+  return run(*csr_, sources, {.radius = radius, .scale = scale_})
+      .settled()
+      .size();
 }
 
 std::vector<BallView> BallOracle::balls(std::span<const NodeId> centers,
@@ -145,14 +155,10 @@ std::vector<Weight> BallOracle::size_radii(
     NodeId u, std::span<const std::size_t> counts) const {
   CR_CHECK(!counts.empty());
   std::vector<Weight> out(counts.size());
-  CR_OBS_COUNT("balls.issued");
-  DijkstraWorkspace& ws = tls_workspace();
   const NodeId sources[] = {u};
-  std::size_t longest = counts.back();
-  if (longest > n_) longest = n_;
-  dijkstra_into(*csr_, sources, ws, {.max_settled = longest});
+  const std::size_t longest = std::min(counts.back(), n_);
+  const DijkstraWorkspace& ws = run(*csr_, sources, {.max_settled = longest});
   CR_CHECK(ws.settled().size() == longest);
-  CR_OBS_ADD("balls.settled", longest);
   for (std::size_t j = 0; j < counts.size(); ++j) {
     CR_CHECK(counts[j] >= 1 && (j == 0 || counts[j] >= counts[j - 1]));
     const std::size_t m = counts[j] > n_ ? n_ : counts[j];
@@ -167,13 +173,11 @@ BallOracle::Nearest BallOracle::nearest_marked(NodeId from,
                                                std::span<const char> marked,
                                                Weight seed_radius) const {
   CR_CHECK(marked.size() == n_);
-  DijkstraWorkspace& ws = tls_workspace();
   const NodeId sources[] = {from};
   Weight radius = seed_radius > 1 ? seed_radius : 1;
   for (;;) {
-    CR_OBS_COUNT("balls.issued");
-    dijkstra_into(*csr_, sources, ws, {.radius = radius, .scale = scale_});
-    CR_OBS_ADD("balls.settled", ws.settled().size());
+    const DijkstraWorkspace& ws =
+        run(*csr_, sources, {.radius = radius, .scale = scale_});
     const std::span<const NodeId> settled = ws.settled();
     for (std::size_t k = 0; k < settled.size(); ++k) {
       if (!marked[settled[k]]) continue;
@@ -195,23 +199,36 @@ BallOracle::Nearest BallOracle::nearest_marked(NodeId from,
   }
 }
 
+const DijkstraWorkspace& BallOracle::settle_until(NodeId source,
+                                                  NodeId stop) const {
+  const NodeId sources[] = {source};
+  const DijkstraWorkspace& ws = run(*csr_, sources, {.stop_node = stop});
+  CR_CHECK_MSG(!ws.settled().empty() && ws.settled().back() == stop,
+               "point query requires a connected pair");
+  return ws;
+}
+
+Weight BallOracle::distance(NodeId u, NodeId v) const {
+  if (u == v) return 0;
+  return settle_until(u, v).dist()[v] / scale_;
+}
+
+NodeId BallOracle::next_hop(NodeId u, NodeId target) const {
+  if (u == target) return kInvalidNode;
+  return settle_until(target, u).parent()[u];
+}
+
 Path BallOracle::path_between(NodeId from, NodeId to) const {
   Path path;
   path.push_back(from);
   if (from == to) return path;
-  CR_OBS_COUNT("balls.issued");
-  DijkstraWorkspace& ws = tls_workspace();
-  const NodeId sources[] = {to};
-  dijkstra_into(*csr_, sources, ws, {.stop_node = from});
-  CR_OBS_ADD("balls.settled", ws.settled().size());
-  CR_CHECK_MSG(!ws.settled().empty() && ws.settled().back() == from,
-               "path_between requires a connected pair");
   // Once `from` settles, every parent on its canonical path toward `to` is
   // final (refinements only arrive from earlier-settled nodes), so this walk
-  // reproduces the row-based MetricSpace::shortest_path bit for bit.
+  // reproduces the dense metric's shortest path bit for bit.
+  const std::span<const NodeId> parent = settle_until(to, from).parent();
   NodeId cur = from;
   while (cur != to) {
-    cur = ws.parent()[cur];
+    cur = parent[cur];
     CR_CHECK(cur != kInvalidNode);
     path.push_back(cur);
     CR_CHECK_MSG(path.size() <= n_, "next-hop cycle detected");
@@ -226,13 +243,11 @@ BallOracle::NearestAssignment BallOracle::assign_nearest(
   NearestAssignment out;
   out.owner.resize(targets.size());
   out.dist.resize(targets.size());
-  DijkstraWorkspace& ws = tls_workspace();
   SettledStamp& stamp = tls_stamp();
   Weight radius = seed_radius > 1 ? seed_radius : 1;
   for (;;) {
-    CR_OBS_COUNT("balls.issued");
-    dijkstra_into(*csr_, sources, ws, {.radius = radius, .scale = scale_});
-    CR_OBS_ADD("balls.settled", ws.settled().size());
+    const DijkstraWorkspace& ws =
+        run(*csr_, sources, {.radius = radius, .scale = scale_});
     stamp.begin(n_);
     for (const NodeId v : ws.settled()) stamp.set(v);
     bool all_settled = true;
@@ -242,18 +257,19 @@ BallOracle::NearestAssignment BallOracle::assign_nearest(
         break;
       }
     }
-    if (all_settled) break;
+    if (all_settled) {
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        const NodeId t = targets[i];
+        out.owner[i] = ws.owner()[t];
+        out.dist[i] = ws.dist()[t] / scale_;
+      }
+      return out;
+    }
     CR_CHECK_MSG(ws.settled().size() < n_,
                  "assign_nearest target unreachable from every source");
     radius *= 2;
     CR_OBS_COUNT("balls.reissued");
   }
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const NodeId t = targets[i];
-    out.owner[i] = ws.owner()[t];
-    out.dist[i] = ws.dist()[t] / scale_;
-  }
-  return out;
 }
 
 void preregister_build_metrics() {

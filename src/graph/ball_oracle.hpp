@@ -1,22 +1,24 @@
 #pragma once
 //
-// BallOracle: the construction pipeline's only distance source (DESIGN.md
-// §10). Every builder query is a bounded-radius / bounded-count Dijkstra
-// over the CSR view — no full metric row is ever materialized — so peak
-// construction memory is O(largest ball touched), not O(n²).
+// BallOracle: the metric's bounded-query engine (DESIGN.md §6, §10). Every
+// query is a bounded-radius / bounded-count / stop-node Dijkstra over the CSR
+// view — no full metric row is ever materialized — so peak construction
+// memory is O(largest ball touched), not O(n²). Builders call it directly,
+// and a row-free MetricSpace answers all of its point and ball queries here.
 //
 // All distances cross this interface in *normalized* units (raw / scale,
-// the exact division the metric backends apply when normalizing rows), so a
+// the exact division the dense metric applies when normalizing rows), so a
 // ball delivered here is bit-identical to the ball a materialized row would
-// induce, and results are independent of the backend the facade runs on.
+// induce, and results are independent of the metric's mode.
 //
 // Batching: balls() fans one request list out over the parallel executor,
 // one ball per chunk — the determinism contract of core/parallel.hpp makes
 // the results independent of the worker count. Duplicate (center, radius)
 // requests inside a batch are computed once and copied to every requestor.
 //
-// Telemetry: balls.issued / balls.settled / balls.reissued count requests,
-// total settled nodes, and doubling-retry reissues; batch completion
+// Telemetry: balls.issued / balls.settled / balls.reissued count Dijkstra
+// runs (every query, including point queries), total settled nodes, and
+// doubling-retry reissues; batch completion
 // publishes the process peak RSS into mem.peak (obs/mem.hpp).
 //
 #include <cstddef>
@@ -27,6 +29,8 @@
 #include "graph/csr.hpp"
 
 namespace compactroute {
+
+class DijkstraWorkspace;
 
 /// One bounded ball B(center, r): members in ascending (normalized
 /// distance, id) — the canonical row order — with, per member, the
@@ -51,6 +55,14 @@ class BallOracle {
 
   /// B(center, radius), radius in normalized units. Settles only the ball.
   BallView ball(NodeId center, Weight radius) const;
+  /// |B(center, radius)|; settles the ball but sorts nothing.
+  std::size_t ball_size(NodeId center, Weight radius) const;
+
+  /// Normalized d(u, v) via a Dijkstra from u that stops once v settles.
+  Weight distance(NodeId u, NodeId v) const;
+  /// Next hop of u toward target (MetricSpace::next_hop) via a Dijkstra from
+  /// target that stops once u settles; kInvalidNode if u == target.
+  NodeId next_hop(NodeId u, NodeId target) const;
 
   /// Batched form: out[i] = ball(centers[i], radii[i]), computed on the
   /// parallel executor with in-batch deduplication of repeated requests.
@@ -107,6 +119,10 @@ class BallOracle {
   const CsrGraph& csr() const { return *csr_; }
 
  private:
+  /// Dijkstra from `source` stopped as soon as `stop` settles: `stop`'s
+  /// distance and its whole parent chain back to `source` are final then.
+  const DijkstraWorkspace& settle_until(NodeId source, NodeId stop) const;
+
   const CsrGraph* csr_;
   Weight scale_;
   std::size_t n_;

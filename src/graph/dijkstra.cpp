@@ -158,6 +158,14 @@ struct DijkstraRunner {
   }
 };
 
+DijkstraWorkspace& thread_workspace() {
+  // Runs come from executor workers during construction and from arbitrary
+  // caller threads afterwards; the touched-list reset keeps bounded queries
+  // O(|ball|) on any of them.
+  static thread_local DijkstraWorkspace ws;
+  return ws;
+}
+
 void dijkstra_into(const CsrGraph& graph, std::span<const NodeId> sources,
                    DijkstraWorkspace& ws, const DijkstraBounds& bounds) {
   CR_CHECK(!sources.empty());

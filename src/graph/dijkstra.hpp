@@ -12,9 +12,10 @@
 // Improved nodes are re-pushed and stale entries skipped on pop — measured
 // faster here than decrease-key position tracking, whose scattered
 // heap-position stores on every sift outweigh the rare stale pops they
-// avoid. Bounded runs (by radius or by settled count) stop as soon as the
-// ball of interest is settled, which is what lets the lazy metric backend
-// answer B_u(r) queries without ever materializing a full distance row.
+// avoid. Bounded runs (by radius, settled count, or a stop node) end as soon
+// as the ball of interest is settled, which is what lets the row-free metric
+// (BallOracle) answer B_u(r) queries without ever materializing a full
+// distance row.
 //
 #include <cstddef>
 #include <cstdint>
@@ -87,6 +88,11 @@ struct DijkstraBounds {
   /// instead of the whole graph.
   NodeId stop_node = kInvalidNode;
 };
+
+/// The calling thread's warm workspace, shared by the metric and BallOracle.
+/// Valid until the thread's next run; a query must copy out what it needs
+/// before issuing another.
+DijkstraWorkspace& thread_workspace();
 
 /// Core engine: Dijkstra from `sources` over the CSR graph into `ws`.
 /// Deterministic for any source order; settles nodes in ascending

@@ -45,8 +45,8 @@ inline bool reset_peak_rss() {
 
 /// Publishes the current peak RSS into the "mem.peak" counter as a
 /// high-water mark: the merged counter value tracks the largest peak ever
-/// published, the same publish-the-delta pattern RowCache uses for
-/// "metric.cache.bytes". Safe to call from any thread, any number of times.
+/// published (each call adds only the growth since the last publish). Safe
+/// to call from any thread, any number of times.
 inline void publish_peak_rss() {
 #ifndef CR_OBS_DISABLED
   static std::atomic<std::size_t> published{0};

@@ -23,7 +23,7 @@ TEST_P(CampaignFuzz, SweepIsCleanOnBothBackendsAndWorkerCounts) {
   options.n_hints = {32, 64};
   options.seeds = {1, 2, 3};
   options.epsilons = {0.5};
-  options.backends = {MetricBackendKind::kDense, MetricBackendKind::kLazy};
+  options.backends = {MetricBackendKind::kDense, MetricBackendKind::kRowFree};
   options.worker_counts = {1, 4};
   options.shrink = false;  // a red case is already a named reproducer
 

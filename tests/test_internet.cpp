@@ -25,7 +25,6 @@
 #include "gen/generators.hpp"
 #include "graph/doubling.hpp"
 #include "graph/metric.hpp"
-#include "graph/metric_backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sharded.hpp"
 #include "runtime/traffic.hpp"

@@ -1,9 +1,9 @@
-// Backend equivalence suite (ISSUE 3): the lazy row-cached backend must be
-// bit-identical to the dense matrices — distances, orders, balls, next hops,
-// and whole four-scheme stack fingerprints — for any worker count and any
-// cache budget, including budgets so small that every query evicts and
-// recomputes. Rows are pure functions of the graph, so this is the
-// determinism contract of DESIGN.md §6 made executable.
+// Metric mode equivalence suite: the row-free metric (every query a bounded
+// Dijkstra through BallOracle) must be bit-identical to the dense matrices —
+// distances, orders, balls, next hops, paths, and whole four-scheme stack
+// fingerprints — for any worker count. Dense is the small-n golden; this is
+// the determinism contract of DESIGN.md §6 made executable, one query at a
+// time.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,13 +34,7 @@ struct WorkerGuard {
   }
 };
 
-MetricOptions lazy_options(std::size_t cache_bytes) {
-  return {.backend = MetricBackendKind::kLazy, .cache_bytes = cache_bytes};
-}
-
-/// A budget this small degrades every shard to a single resident row, so
-/// almost every row fetch recomputes — the eviction-heavy regime.
-constexpr std::size_t kTinyCache = 4096;
+const MetricOptions kRowFree{.backend = MetricBackendKind::kRowFree};
 
 std::vector<std::pair<std::string, Graph>> equivalence_graphs() {
   std::vector<std::pair<std::string, Graph>> graphs;
@@ -51,21 +45,22 @@ std::vector<std::pair<std::string, Graph>> equivalence_graphs() {
   return graphs;
 }
 
-void expect_metrics_identical(const MetricSpace& dense, const MetricSpace& lazy) {
-  ASSERT_EQ(dense.n(), lazy.n());
+void expect_metrics_identical(const MetricSpace& dense,
+                              const MetricSpace& rowfree) {
+  ASSERT_EQ(dense.n(), rowfree.n());
   const std::size_t n = dense.n();
-  EXPECT_EQ(dense.normalization_scale(), lazy.normalization_scale());
-  EXPECT_EQ(dense.delta(), lazy.delta());
-  EXPECT_EQ(dense.num_levels(), lazy.num_levels());
+  EXPECT_EQ(dense.normalization_scale(), rowfree.normalization_scale());
+  EXPECT_EQ(dense.delta(), rowfree.delta());
+  EXPECT_EQ(dense.num_levels(), rowfree.num_levels());
 
   for (NodeId u = 0; u < n; ++u) {
     const auto dense_order = dense.sorted_by_distance(u);
-    const auto lazy_order = lazy.sorted_by_distance(u);
+    const auto rowfree_order = rowfree.sorted_by_distance(u);
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(dense.dist(u, v), lazy.dist(u, v)) << "u=" << u << " v=" << v;
-      ASSERT_EQ(dense.next_hop(u, v), lazy.next_hop(u, v))
+      ASSERT_EQ(dense.dist(u, v), rowfree.dist(u, v)) << "u=" << u << " v=" << v;
+      ASSERT_EQ(dense.next_hop(u, v), rowfree.next_hop(u, v))
           << "u=" << u << " v=" << v;
-      ASSERT_EQ(dense_order[v], lazy_order[v]) << "u=" << u << " k=" << v;
+      ASSERT_EQ(dense_order[v], rowfree_order[v]) << "u=" << u << " k=" << v;
     }
   }
 
@@ -73,78 +68,78 @@ void expect_metrics_identical(const MetricSpace& dense, const MetricSpace& lazy)
   for (int trial = 0; trial < 25; ++trial) {
     const NodeId u = static_cast<NodeId>(prng.next_below(n));
     const Weight r = prng.next_double(0, dense.delta());
-    ASSERT_EQ(dense.ball(u, r), lazy.ball(u, r)) << "u=" << u << " r=" << r;
-    ASSERT_EQ(dense.ball_size(u, r), lazy.ball_size(u, r));
-    const std::size_t m = 1 + prng.next_below(n);
-    ASSERT_EQ(dense.radius_of_count(u, m), lazy.radius_of_count(u, m))
+    ASSERT_EQ(dense.ball(u, r), rowfree.ball(u, r)) << "u=" << u << " r=" << r;
+    ASSERT_EQ(dense.ball_size(u, r), rowfree.ball_size(u, r));
+    const std::size_t m = 1 + prng.next_below(n + 20);  // incl. the m > n clamp
+    ASSERT_EQ(dense.radius_of_count(u, m), rowfree.radius_of_count(u, m))
         << "u=" << u << " m=" << m;
   }
 }
 
-TEST(MetricBackend, LazyMatchesDenseOnAllQueries) {
+TEST(MetricBackend, RowFreeMatchesDenseOnAllQueries) {
   for (const auto& [name, graph] : equivalence_graphs()) {
     SCOPED_TRACE(name);
     const MetricSpace dense(graph);
-    const MetricSpace lazy(graph, lazy_options(MetricOptions{}.cache_bytes));
+    const MetricSpace rowfree(graph, kRowFree);
     EXPECT_STREQ(dense.backend_name(), "dense");
-    EXPECT_STREQ(lazy.backend_name(), "lazy");
-    expect_metrics_identical(dense, lazy);
-  }
-}
-
-TEST(MetricBackend, EvictionForcingCacheChangesNothing) {
-  for (const auto& [name, graph] : equivalence_graphs()) {
-    SCOPED_TRACE(name);
-    const MetricSpace dense(graph);
-    const MetricSpace lazy(graph, lazy_options(kTinyCache));
-    expect_metrics_identical(dense, lazy);
+    EXPECT_STREQ(rowfree.backend_name(), "rowfree");
+    EXPECT_EQ(rowfree.memory_bytes(), 0u);
+    expect_metrics_identical(dense, rowfree);
   }
 }
 
 TEST(MetricBackend, BoundedBallQueriesMatchFullRows) {
-  // A tiny cache keeps almost no rows resident, so ball/ball_size/
-  // radius_of_count on un-cached roots exercise the bounded-Dijkstra path.
+  // Row-free ball/ball_size/radius_of_count run bounded Dijkstras; the dense
+  // answers come from full sorted rows.
   const Graph graph = make_random_geometric(150, 2, 4, 12);
   const MetricSpace dense(graph);
-  const MetricSpace lazy(graph, lazy_options(kTinyCache));
+  const MetricSpace rowfree(graph, kRowFree);
   Prng prng(5);
   for (int trial = 0; trial < 60; ++trial) {
     const NodeId u = static_cast<NodeId>(prng.next_below(dense.n()));
     const Weight r = prng.next_double(0, dense.delta() * 1.1);
-    ASSERT_EQ(dense.ball(u, r), lazy.ball(u, r)) << "u=" << u << " r=" << r;
-    ASSERT_EQ(dense.ball_size(u, r), lazy.ball_size(u, r));
+    ASSERT_EQ(dense.ball(u, r), rowfree.ball(u, r)) << "u=" << u << " r=" << r;
+    ASSERT_EQ(dense.ball_size(u, r), rowfree.ball_size(u, r));
     const std::size_t m = 1 + prng.next_below(dense.n() + 20);  // incl. clamp
-    ASSERT_EQ(dense.radius_of_count(u, m), lazy.radius_of_count(u, m));
+    ASSERT_EQ(dense.radius_of_count(u, m), rowfree.radius_of_count(u, m));
   }
 }
 
 TEST(MetricBackend, ShortestPathAndNearestInMatch) {
   const Graph graph = make_grid_with_holes(12, 12, 6, 4, 3);
   const MetricSpace dense(graph);
-  const MetricSpace lazy(graph, lazy_options(kTinyCache));
+  const MetricSpace rowfree(graph, kRowFree);
   Prng prng(9);
   for (int trial = 0; trial < 40; ++trial) {
     const NodeId u = static_cast<NodeId>(prng.next_below(dense.n()));
     const NodeId v = static_cast<NodeId>(prng.next_below(dense.n()));
-    EXPECT_EQ(dense.shortest_path(u, v), lazy.shortest_path(u, v));
+    EXPECT_EQ(dense.shortest_path(u, v), rowfree.shortest_path(u, v));
   }
   std::vector<NodeId> candidates;
   for (NodeId c = 0; c < dense.n(); c += 5) candidates.push_back(c);
   for (NodeId u = 0; u < dense.n(); ++u) {
-    EXPECT_EQ(dense.nearest_in(u, candidates), lazy.nearest_in(u, candidates));
+    EXPECT_EQ(dense.nearest_in(u, candidates), rowfree.nearest_in(u, candidates));
   }
 }
 
 TEST(MetricBackend, OrderViewSurvivesEviction) {
-  // Pin a row view, then thrash the tiny cache until the pinned row is long
-  // evicted: the view must stay valid and bit-stable (shared_ptr pin).
+  // A row-free OrderView owns the only reference to its transient row: every
+  // later query reuses the thread's Dijkstra workspace and materializes rows
+  // of its own, and the pinned view must stay valid and bit-stable.
   const Graph graph = make_random_geometric(100, 2, 4, 3);
-  const MetricSpace lazy(graph, lazy_options(kTinyCache));
-  const OrderView pinned = lazy.sorted_by_distance(0);
+  const MetricSpace dense(graph);
+  const MetricSpace rowfree(graph, kRowFree);
+  const OrderView pinned = rowfree.sorted_by_distance(0);
   const std::vector<NodeId> snapshot(pinned.begin(), pinned.end());
-  for (NodeId u = 0; u < lazy.n(); ++u) (void)lazy.row(u);
+  for (NodeId u = 0; u < rowfree.n(); ++u) {
+    (void)rowfree.row(u);
+    (void)rowfree.ball(u, 2.0);
+  }
+  const OrderView golden = dense.sorted_by_distance(0);
+  ASSERT_EQ(snapshot.size(), golden.size());
   for (std::size_t k = 0; k < snapshot.size(); ++k) {
     ASSERT_EQ(pinned[k], snapshot[k]);
+    ASSERT_EQ(pinned[k], golden[k]);
   }
 }
 
@@ -157,59 +152,26 @@ std::uint64_t scraped_counter(const char* name) {
   return it == scraped->counters().end() ? 0 : it->second.value();
 }
 
-TEST(MetricBackend, CacheCountersMeterHitsMissesAndEvictions) {
-  const Graph graph = make_random_geometric(90, 2, 4, 21);
-
-  {
-    obs::reset_global();
-    const MetricSpace lazy(graph, lazy_options(MetricOptions{}.cache_bytes));
-    obs::reset_global();  // drop construction telemetry; meter queries only
-    (void)lazy.dist(3, 7);  // cold cache (construction is row-free): miss
-    (void)lazy.dist(3, 9);  // same row again: hit
-    EXPECT_EQ(scraped_counter("metric.cache.hits"), 1u);
-    EXPECT_EQ(scraped_counter("metric.cache.misses"), 1u);
-  }
-
-  {
-    obs::reset_global();
-    const MetricSpace lazy(graph, lazy_options(kTinyCache));
-    for (NodeId u = 0; u < lazy.n(); ++u) (void)lazy.row(u);
-    EXPECT_GT(scraped_counter("metric.cache.evictions"), 0u)
-        << "a 4 KB budget cannot hold 90 rows without evicting";
-    const std::uint64_t peak = scraped_counter("metric.cache.bytes");
-    EXPECT_GT(peak, 0u);
-    EXPECT_LT(peak, std::uint64_t{90} * 90 * 16)
-        << "peak cache bytes must stay far below dense matrix size";
-    obs::reset_global();
-    // 90 roots hash over 16 shards, each retaining one row: scanning all
-    // roots in order must recompute at least the non-resident ones.
-    for (NodeId u = 0; u < lazy.n(); ++u) (void)lazy.dist(u, 0);
-    EXPECT_GT(scraped_counter("metric.cache.misses"), 0u);
-    EXPECT_GT(scraped_counter("dijkstra.settled"), 0u);
-  }
-}
-
 TEST(MetricBackend, BoundedQueriesSettleOnlyTheBall) {
   const Graph graph = make_grid(16, 16);  // n = 256
-  const MetricSpace lazy(graph, lazy_options(0));  // budget 0: one row/shard
-  // Thrash the cache so root 0's row is certainly evicted (its shard's
-  // resident row becomes the last id touched below that hashes there).
-  for (NodeId u = 1; u < lazy.n(); ++u) (void)lazy.dist(u, u);
-  obs::reset_global();
+  const MetricSpace rowfree(graph, kRowFree);
+  obs::reset_global();  // drop construction telemetry; meter one query
   const NodeId root = 0;
-  const std::size_t small = lazy.ball_size(root, 2.0);
-  ASSERT_LT(small, lazy.n() / 4);
+  const std::size_t small = rowfree.ball_size(root, 2.0);
+  ASSERT_LT(small, rowfree.n() / 4);
   const std::uint64_t settled = scraped_counter("dijkstra.settled");
   EXPECT_LE(settled, small + 1)
       << "bounded ball_size must not settle nodes outside the ball";
-  EXPECT_GT(scraped_counter("metric.ball.bounded"), 0u);
+  // Row-free facade queries are oracle queries and count as such.
+  EXPECT_EQ(scraped_counter("balls.issued"), 1u);
+  EXPECT_EQ(scraped_counter("balls.settled"), small);
+  EXPECT_EQ(scraped_counter("metric.rows.materialized"), 0u);
 }
 #endif  // CR_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// Stack fingerprints: the full four-scheme pipeline over a lazy metric must
-// reproduce the dense pipeline bit for bit, for 1 and 4 workers, with and
-// without cache pressure.
+// Stack fingerprints: the full four-scheme pipeline over a row-free metric
+// must reproduce the dense pipeline bit for bit, for 1 and 4 workers.
 // ---------------------------------------------------------------------------
 
 void push(std::vector<std::uint64_t>& fp, std::uint64_t v) { fp.push_back(v); }
@@ -277,14 +239,10 @@ TEST(MetricBackend, FourSchemeStackFingerprintMatchesDense) {
       stack_fingerprint(1, MetricOptions{});
   ASSERT_FALSE(reference.empty());
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t cache : {MetricOptions{}.cache_bytes, kTinyCache}) {
-      const std::vector<std::uint64_t> fp =
-          stack_fingerprint(workers, lazy_options(cache));
-      ASSERT_EQ(reference.size(), fp.size())
-          << "workers=" << workers << " cache=" << cache;
-      EXPECT_TRUE(reference == fp) << "lazy stack diverged from dense at "
-                                   << "workers=" << workers << " cache=" << cache;
-    }
+    const std::vector<std::uint64_t> fp = stack_fingerprint(workers, kRowFree);
+    ASSERT_EQ(reference.size(), fp.size()) << "workers=" << workers;
+    EXPECT_TRUE(reference == fp)
+        << "row-free stack diverged from dense at workers=" << workers;
   }
   // The dense stack itself must also be worker-count invariant (regression
   // guard for the chunked min/max normalization reduction).

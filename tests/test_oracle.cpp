@@ -81,18 +81,18 @@ TEST_P(OracleTest, SelfEstimateIsZeroAndStorageIsPositive) {
   }
 }
 
-TEST(OracleBackends, DenseAndLazyAgreeExactly) {
+TEST(OracleBackends, DenseAndRowFreeAgreeExactly) {
   const Graph graph = make_random_geometric(48, 2, 3, 5);
   MetricOptions dense_options;
   dense_options.backend = MetricBackendKind::kDense;
-  MetricOptions lazy_options;
-  lazy_options.backend = MetricBackendKind::kLazy;
+  MetricOptions rowfree_options;
+  rowfree_options.backend = MetricBackendKind::kRowFree;
   const MetricSpace dense(graph, dense_options);
-  const MetricSpace lazy(graph, lazy_options);
+  const MetricSpace rowfree(graph, rowfree_options);
   const NetHierarchy dense_h(dense);
-  const NetHierarchy lazy_h(lazy);
+  const NetHierarchy rowfree_h(rowfree);
   const DistanceOracle a(dense, dense_h, 0.3);
-  const DistanceOracle b(lazy, lazy_h, 0.3);
+  const DistanceOracle b(rowfree, rowfree_h, 0.3);
   for (NodeId u = 0; u < dense.n(); ++u) {
     for (NodeId v = 0; v < dense.n(); ++v) {
       const auto ea = a.estimate(u, a.label(v));
@@ -105,11 +105,11 @@ TEST(OracleBackends, DenseAndLazyAgreeExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, OracleTest,
                          ::testing::Values(MetricBackendKind::kDense,
-                                           MetricBackendKind::kLazy),
+                                           MetricBackendKind::kRowFree),
                          [](const auto& info) {
                            return info.param == MetricBackendKind::kDense
                                       ? "Dense"
-                                      : "Lazy";
+                                      : "RowFree";
                          });
 
 }  // namespace

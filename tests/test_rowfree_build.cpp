@@ -1,7 +1,7 @@
-// Row-free build equivalence suite (ISSUE 7): the construction pipeline must
-// produce byte-identical snapshots whether the metric backend materializes
-// every row up front (dense), caches rows on demand (lazy), or never holds a
-// row at all (rowfree) — for any worker count. The snapshot bytes are the
+// Row-free build equivalence suite: the construction pipeline must produce
+// byte-identical snapshots whether the metric materializes every row up
+// front (dense) or never holds a row at all (rowfree) — for any worker
+// count. The snapshot bytes are the
 // strongest fingerprint available: they cover every table of all four
 // schemes plus the hierarchy and naming, encoded canonically, so a single
 // diverged bit anywhere in the build shows up as a byte mismatch.
@@ -99,15 +99,14 @@ TEST(RowFreeBuild, SnapshotBytesIdenticalAcrossBackendsAndWorkers) {
   ASSERT_FALSE(reference.empty());
   const MetricOptions backends[] = {
       MetricOptions{},
-      {.backend = MetricBackendKind::kLazy},
       {.backend = MetricBackendKind::kRowFree},
   };
   for (const MetricOptions& options : backends) {
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
       const std::vector<std::uint8_t> bytes = snapshot_bytes(workers, options);
       EXPECT_TRUE(reference == bytes)
-          << "snapshot diverged: backend="
-          << static_cast<int>(options.backend) << " workers=" << workers;
+          << "snapshot diverged: backend=" << backend_name(options.backend)
+          << " workers=" << workers;
     }
   }
 }

@@ -79,11 +79,11 @@ TEST(SnapshotRoundTrip, DenseOneWorker) {
 TEST(SnapshotRoundTrip, DenseFourWorkers) {
   run_roundtrip(MetricBackendKind::kDense, 4);
 }
-TEST(SnapshotRoundTrip, LazyOneWorker) {
-  run_roundtrip(MetricBackendKind::kLazy, 1);
+TEST(SnapshotRoundTrip, RowFreeOneWorker) {
+  run_roundtrip(MetricBackendKind::kRowFree, 1);
 }
-TEST(SnapshotRoundTrip, LazyFourWorkers) {
-  run_roundtrip(MetricBackendKind::kLazy, 4);
+TEST(SnapshotRoundTrip, RowFreeFourWorkers) {
+  run_roundtrip(MetricBackendKind::kRowFree, 4);
 }
 
 TEST(SnapshotRoundTrip, EncodeIsWorkerCountAndBackendInvariant) {
@@ -93,10 +93,10 @@ TEST(SnapshotRoundTrip, EncodeIsWorkerCountAndBackendInvariant) {
   Executor::global().set_workers(4);
   const std::vector<std::uint8_t> parallel =
       FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kDense).encode();
-  const std::vector<std::uint8_t> lazy =
-      FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kLazy).encode();
+  const std::vector<std::uint8_t> rowfree =
+      FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kRowFree).encode();
   EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, lazy);
+  EXPECT_EQ(serial, rowfree);
 }
 
 TEST(SnapshotRoundTrip, DirectoryListsAllEightSections) {

@@ -44,11 +44,9 @@
 //
 // Global options (anywhere on the command line):
 //   --threads N            pin the executor's worker count (CR_THREADS=N)
-//   --metric dense|lazy|rowfree
-//                          metric backend: precomputed matrices (default),
-//                          demand-computed rows in an LRU cache, or pure
-//                          bounded ball queries with no row storage at all
-//   --metric-cache-mb N    lazy backend row-cache budget in MiB (default 64)
+//   --metric dense|rowfree metric mode: precomputed all-pairs matrices
+//                          (default), or bounded ball queries with no row
+//                          storage at all
 // Each option also accepts the --opt=value spelling.
 //
 // Exit codes: 0 success, 1 runtime error, 2 usage error (unknown command or
@@ -128,13 +126,10 @@ namespace {
                "also accepted):\n"
                "  --threads N          worker count for parallel construction\n"
                "                       and evaluation (N >= 1; CR_THREADS=N)\n"
-               "  --metric dense|lazy|rowfree\n"
-               "                       metric backend: all-pairs matrices\n"
-               "                       (default), demand-computed rows in a\n"
-               "                       byte-budgeted LRU cache, or bounded\n"
-               "                       ball queries with no row storage\n"
-               "  --metric-cache-mb N  lazy row-cache budget in MiB\n"
-               "                       (default 64)\n"
+               "  --metric dense|rowfree\n"
+               "                       metric mode: all-pairs matrices\n"
+               "                       (default), or bounded ball queries\n"
+               "                       with no row storage\n"
                "\n"
                "build options:\n"
                "  --out FILE           write the built stack as a snapshot\n"
@@ -157,7 +152,7 @@ namespace {
                "  --n LIST             target instance sizes (default 48,96)\n"
                "  --seeds LIST         instance seeds (default 1,2,3)\n"
                "  --eps LIST           epsilon values (default 0.5)\n"
-               "  --backends LIST      metric backends (default dense,lazy)\n"
+               "  --backends LIST      metric modes (default dense,rowfree)\n"
                "  --workers LIST       executor worker counts (default 1,4)\n"
                "  --budget-s S         wall-clock budget; the sweep stops\n"
                "                       between cases (default 0 = full grid)\n"
@@ -297,8 +292,8 @@ double parse_positive_double(const std::string& token, const char* what) {
   return v;
 }
 
-/// Metric backend chosen by the global --metric / --metric-cache-mb options;
-/// every command that builds a MetricSpace reads it.
+/// Metric mode chosen by the global --metric option; every command that
+/// builds a MetricSpace reads it.
 MetricOptions g_metric_options;
 
 /// Writes a user-requested artifact and echoes the path. Returns false on
@@ -637,14 +632,15 @@ int cmd_audit(std::vector<std::string> args) {
     } else if (take_option(args, i, "--backends", value)) {
       options.backends.clear();
       for (const std::string& token : split_csv(value)) {
-        if (token == "dense") {
-          options.backends.push_back(MetricBackendKind::kDense);
-        } else if (token == "lazy") {
-          options.backends.push_back(MetricBackendKind::kLazy);
-        } else {
-          std::fprintf(stderr, "--backends entries must be 'dense' or 'lazy'\n\n");
+        MetricBackendKind kind;
+        if (!backend_from_name(token, &kind)) {
+          std::fprintf(stderr,
+                       "--backends entries must be 'dense' or 'rowfree', got "
+                       "'%s'\n\n",
+                       token.c_str());
           usage();
         }
+        options.backends.push_back(kind);
       }
     } else if (take_option(args, i, "--workers", value)) {
       options.worker_counts.clear();
@@ -685,9 +681,7 @@ int cmd_audit(std::vector<std::string> args) {
     std::printf("  FAIL %s n=%zu seed=%llu eps=%.3g %s workers=%zu: %s\n",
                 outcome.config.family.c_str(), outcome.n,
                 static_cast<unsigned long long>(outcome.config.seed),
-                outcome.config.epsilon,
-                outcome.config.backend == MetricBackendKind::kDense ? "dense"
-                                                                    : "lazy",
+                outcome.config.epsilon, backend_name(outcome.config.backend),
                 outcome.config.workers,
                 outcome.issues.front().invariant.c_str());
   }
@@ -1586,8 +1580,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
 
   // Strip global options wherever they appear. --threads overrides the
-  // CR_THREADS environment variable for this process; --metric and
-  // --metric-cache-mb select the MetricSpace backend for every command.
+  // CR_THREADS environment variable for this process; --metric selects the
+  // MetricSpace mode for every command.
   std::string value;
   for (std::size_t i = 0; i < args.size();) {
     if (take_option(args, i, "--threads", value)) {
@@ -1598,22 +1592,11 @@ int main(int argc, char** argv) {
       }
       Executor::global().set_workers(static_cast<std::size_t>(v));
     } else if (take_option(args, i, "--metric", value)) {
-      if (value == "dense") {
-        g_metric_options.backend = MetricBackendKind::kDense;
-      } else if (value == "lazy") {
-        g_metric_options.backend = MetricBackendKind::kLazy;
-      } else if (value == "rowfree") {
-        g_metric_options.backend = MetricBackendKind::kRowFree;
-      } else {
-        std::fprintf(stderr,
-                     "--metric must be 'dense', 'lazy', or 'rowfree', got "
-                     "'%s'\n\n",
+      if (!backend_from_name(value, &g_metric_options.backend)) {
+        std::fprintf(stderr, "--metric must be 'dense' or 'rowfree', got '%s'\n\n",
                      value.c_str());
         usage();
       }
-    } else if (take_option(args, i, "--metric-cache-mb", value)) {
-      const std::uint64_t mb = parse_u64(value, "--metric-cache-mb value");
-      g_metric_options.cache_bytes = static_cast<std::size_t>(mb) * 1024 * 1024;
     } else {
       ++i;
     }

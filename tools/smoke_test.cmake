@@ -53,6 +53,29 @@ execute_process(COMMAND ${CRTOOL} audit --workers 0 RESULT_VARIABLE rc ERROR_QUI
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "crtool audit with --workers 0 should exit 2, got ${rc}")
 endif()
+# The metric has two modes, dense and rowfree; any other mode, and the
+# row-cache budget option of the removed lazy mode, are usage errors.
+execute_process(COMMAND ${CRTOOL} audit --backends lazy
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "crtool audit --backends lazy should exit 2, got ${rc}")
+endif()
+execute_process(COMMAND ${CRTOOL} --metric lazy info ${graph}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "crtool --metric lazy should exit 2, got ${rc}")
+endif()
+execute_process(COMMAND ${CRTOOL} --metric-cache-mb 4 info ${graph}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "crtool --metric-cache-mb should exit 2, got ${rc}")
+endif()
+execute_process(COMMAND ${CRTOOL} audit --families grid --n 32 --seeds 1
+                --workers 1 --backends rowfree
+                RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "crtool audit --backends rowfree should exit 0, got ${rc}")
+endif()
 # Snapshot pipeline: save -> load-info -> serve (with the fingerprint audit
 # and the corruption battery) must succeed end to end.
 set(snap ${CMAKE_CURRENT_BINARY_DIR}/smoke.snap)
