@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
@@ -32,11 +33,19 @@ const Graph& shared_graph(std::size_t n) {
   return it->second;
 }
 
-const MetricSpace& shared_metric(std::size_t n) {
-  static std::map<std::size_t, std::unique_ptr<MetricSpace>> cache;
-  auto it = cache.find(n);
+const MetricSpace& shared_metric(
+    std::size_t n, MetricBackendKind backend = MetricBackendKind::kDense) {
+  static std::map<std::pair<std::size_t, MetricBackendKind>,
+                  std::unique_ptr<MetricSpace>>
+      cache;
+  auto it = cache.find({n, backend});
   if (it == cache.end()) {
-    it = cache.emplace(n, std::make_unique<MetricSpace>(shared_graph(n))).first;
+    MetricOptions options;
+    options.backend = backend;
+    it = cache
+             .emplace(std::pair{n, backend},
+                      std::make_unique<MetricSpace>(shared_graph(n), options))
+             .first;
   }
   return *it->second;
 }
@@ -78,14 +87,36 @@ void BM_NetHierarchy(benchmark::State& state) {
 }
 BENCHMARK(BM_NetHierarchy)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 
-void BM_BallPacking(benchmark::State& state) {
-  const MetricSpace& metric = shared_metric(256);
+// One packing level ℬ_j on n = 256, radius column included. The top level
+// j = max_size_exponent(256) is the expensive one: its radii are full
+// Dijkstras and nearly every candidate is rejected.
+void packing_level(benchmark::State& state, MetricBackendKind backend) {
+  const MetricSpace& metric = shared_metric(256, backend);
   for (auto _ : state) {
     BallPacking packing(metric, static_cast<int>(state.range(0)));
     benchmark::DoNotOptimize(packing.balls().size());
   }
 }
-BENCHMARK(BM_BallPacking)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+
+void BM_BallPacking(benchmark::State& state) {
+  packing_level(state, MetricBackendKind::kDense);
+}
+BENCHMARK(BM_BallPacking)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(max_size_exponent(256))
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BallPackingRowFree(benchmark::State& state) {
+  packing_level(state, MetricBackendKind::kRowFree);
+}
+BENCHMARK(BM_BallPackingRowFree)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(max_size_exponent(256))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SearchTreeBuild(benchmark::State& state) {
   const MetricSpace& metric = shared_metric(256);

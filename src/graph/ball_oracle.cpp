@@ -103,6 +103,18 @@ std::size_t BallOracle::ball_size(NodeId center, Weight radius) const {
       .size();
 }
 
+bool BallOracle::ball_meets(NodeId center, Weight radius,
+                            std::span<const char> marked) const {
+  CR_CHECK(marked.size() == n_);
+  const NodeId sources[] = {center};
+  const DijkstraWorkspace& ws = run(
+      *csr_, sources,
+      {.radius = radius, .scale = scale_, .stop_marked = marked});
+  // The run ends on a marked node iff it stopped at one; a run that drains
+  // the ball without a hit ends on an unmarked node.
+  return !ws.settled().empty() && marked[ws.settled().back()] != 0;
+}
+
 std::vector<BallView> BallOracle::balls(std::span<const NodeId> centers,
                                         std::span<const Weight> radii) const {
   CR_CHECK(centers.size() == radii.size());
@@ -279,6 +291,10 @@ void preregister_build_metrics() {
   (void)shard.counter("balls.settled");
   (void)shard.counter("balls.reissued");
   (void)shard.counter("balls.deduped");
+  (void)shard.counter("packing.candidates");
+  (void)shard.counter("packing.center_rejects");
+  (void)shard.counter("packing.probe_rejects");
+  (void)shard.counter("packing.accepted");
   (void)shard.counter("mem.peak");
   (void)shard.counter("metric.rows.materialized");
 #endif

@@ -57,6 +57,11 @@ class BallOracle {
   BallView ball(NodeId center, Weight radius) const;
   /// |B(center, radius)|; settles the ball but sorts nothing.
   std::size_t ball_size(NodeId center, Weight radius) const;
+  /// Whether B(center, radius) holds a marked node (marked[v] != 0). Stops
+  /// at the first marked node it settles, so a near hit settles only the
+  /// nodes closer than it. `marked` must cover all n nodes.
+  bool ball_meets(NodeId center, Weight radius,
+                  std::span<const char> marked) const;
 
   /// Normalized d(u, v) via a Dijkstra from u that stops once v settles.
   Weight distance(NodeId u, NodeId v) const;
@@ -128,10 +133,10 @@ class BallOracle {
   std::size_t n_;
 };
 
-/// Pre-registers the construction-side counters (balls.*, mem.peak,
-/// metric.rows.materialized) on the calling shard — the serve.queue.*
-/// pattern — so a telemetry scrape reports them at zero even when no
-/// row-free build ran. No-op under CR_OBS_DISABLED.
+/// Pre-registers the construction-side counters (balls.*, packing.*,
+/// mem.peak, metric.rows.materialized) on the calling shard — the
+/// serve.queue.* pattern — so a telemetry scrape reports them at zero even
+/// when no row-free build ran. No-op under CR_OBS_DISABLED.
 void preregister_build_metrics();
 
 }  // namespace compactroute

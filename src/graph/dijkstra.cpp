@@ -97,6 +97,8 @@ struct DijkstraRunner {
 
     std::uint64_t relaxed = 0;
     const bool radius_bounded = bounds.radius < kInfiniteWeight;
+    const bool stop_on_mark = !bounds.stop_marked.empty();
+    CR_CHECK(!stop_on_mark || bounds.stop_marked.size() == n);
     while (!ws.heap_.empty() && ws.settled_.size() < bounds.max_settled) {
       // The next settle candidate: stop before settling anything outside the
       // requested (normalized) radius. The heap minimum is never stale-small
@@ -112,7 +114,8 @@ struct DijkstraRunner {
       const NodeId u = top.node;
       if (top.dist != ws.dist_[u] || top.owner != ws.owner_[u]) continue;
       ws.settled_.push_back(u);
-      if (u == bounds.stop_node) break;
+      if (u == bounds.stop_node || (stop_on_mark && bounds.stop_marked[u]))
+        break;
 
       const std::span<const NodeId> targets = graph.arc_targets(u);
       const std::span<const Weight> weights = graph.arc_weights(u);

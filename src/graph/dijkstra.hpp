@@ -12,10 +12,10 @@
 // Improved nodes are re-pushed and stale entries skipped on pop — measured
 // faster here than decrease-key position tracking, whose scattered
 // heap-position stores on every sift outweigh the rare stale pops they
-// avoid. Bounded runs (by radius, settled count, or a stop node) end as soon
-// as the ball of interest is settled, which is what lets the row-free metric
-// (BallOracle) answer B_u(r) queries without ever materializing a full
-// distance row.
+// avoid. Bounded runs (by radius, settled count, a stop node, or the first
+// marked node) end as soon as the ball of interest is settled, which is what
+// lets the row-free metric (BallOracle) answer B_u(r) queries without ever
+// materializing a full distance row.
 //
 #include <cstddef>
 #include <cstdint>
@@ -87,6 +87,13 @@ struct DijkstraBounds {
   /// nodes. Lets path queries run Dijkstra on B(source, d(source, target))
   /// instead of the whole graph.
   NodeId stop_node = kInvalidNode;
+  /// Stop right after settling any node v with stop_marked[v] != 0 (empty:
+  /// no such bound; otherwise it must cover all n nodes). Settle order is a
+  /// prefix of the unmarked run's, so combined with `radius` the run ends on
+  /// a marked node iff the ball B(source, radius) holds one — an
+  /// intersection test that pays only for the nodes nearer than the first
+  /// hit.
+  std::span<const char> stop_marked = {};
 };
 
 /// The calling thread's warm workspace, shared by the metric and BallOracle.

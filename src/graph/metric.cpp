@@ -304,6 +304,18 @@ std::vector<NodeId> MetricSpace::ball(NodeId u, Weight r) const {
   return std::vector<NodeId>(order, order + ball_size(u, r));
 }
 
+bool MetricSpace::ball_meets(NodeId u, Weight r,
+                             std::span<const char> marked) const {
+  if (!dense()) return balls_->ball_meets(u, r, marked);
+  CR_CHECK(marked.size() == n_);
+  const NodeId* order = &order_[index(u, 0)];
+  const Weight* dist = &dist_[index(u, 0)];
+  for (std::size_t k = 0; k < n_ && dist[order[k]] <= r; ++k) {
+    if (marked[order[k]]) return true;
+  }
+  return false;
+}
+
 Path MetricSpace::shortest_path(NodeId u, NodeId v) const {
   if (!dense()) return balls_->path_between(u, v);
   Path path;

@@ -163,6 +163,12 @@ class MetricSpace {
   /// |B_u(r)|.
   std::size_t ball_size(NodeId u, Weight r) const;
 
+  /// Whether B_u(r) holds a marked node (marked[v] != 0; `marked` covers
+  /// all n nodes). Stops at the first hit in (distance, id) order: dense
+  /// mode scans the row prefix, row-free mode runs one probe that settles
+  /// only the nodes nearer than the hit (BallOracle::ball_meets).
+  bool ball_meets(NodeId u, Weight r, std::span<const char> marked) const;
+
   /// Neighbor of u on the canonical shortest path u -> target (target itself
   /// if adjacent); kInvalidNode if u == target.
   NodeId next_hop(NodeId u, NodeId target) const {

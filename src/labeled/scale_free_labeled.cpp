@@ -69,23 +69,16 @@ void ScaleFreeLabeledScheme::build_rings() {
   const int top = hierarchy_->top_level();
 
   // Phase 1 — per-node density profile. All max_exponent_+1 size radii of a
-  // node come out of ONE count-bounded run (the prefix radii of the same
-  // settle order radius_of_count would walk), and R(u) is arithmetic on
-  // them; both only write the u-th slot of each table, so the pass maps
-  // over nodes on the parallel executor.
-  size_radius_.assign(max_exponent_ + 1, std::vector<Weight>(n, 0));
+  // node come out of ONE count-bounded run (size_radius_table), and R(u) is
+  // arithmetic on them; it only writes the u-th slot of each table, so the
+  // pass maps over nodes on the parallel executor. The same table feeds
+  // every packing level in build_packings().
+  size_radius_ = size_radius_table(*metric_);
   level_set_.assign(n, {});
   rings_.assign(n, {});
-  std::vector<std::size_t> counts(max_exponent_ + 1);
-  for (int j = 0; j <= max_exponent_; ++j) counts[j] = std::size_t{1} << j;
   parallel_for("labeled.sf.rings", n, 16,
                [&](std::size_t first, std::size_t last) {
                  for (NodeId u = static_cast<NodeId>(first); u < last; ++u) {
-                   const std::vector<Weight> radii =
-                       metric_->balls_oracle().size_radii(u, counts);
-                   for (int j = 0; j <= max_exponent_; ++j) {
-                     size_radius_[j][u] = radii[j];
-                   }
                    build_node_levels(u);
                  }
                });
@@ -158,7 +151,7 @@ void ScaleFreeLabeledScheme::build_packings() {
   };
 
   for (int j = 0; j <= max_exponent_; ++j) {
-    const BallPacking packing(*metric_, j);
+    const BallPacking packing(*metric_, j, size_radius_[j]);
     std::vector<NodeId> centers;
     centers.reserve(packing.balls().size());
     for (const PackedBall& ball : packing.balls()) centers.push_back(ball.center);

@@ -14,13 +14,6 @@ namespace compactroute {
 
 namespace {
 
-/// r_c(j) with the paper's implicit clamp: exponents above log n denote the
-/// whole graph.
-Weight clamped_size_radius(const MetricSpace& metric, NodeId c, int exponent) {
-  if (exponent > max_size_exponent(metric.n())) return metric.delta();
-  return size_radius(metric, c, exponent);
-}
-
 // Per-thread stamped distance table: one bounded ball from a net point
 // replaces a distance probe per (net point, packed ball) pair in the Type-2
 // membership scan. A slot's distance is meaningful only while its stamp
@@ -80,12 +73,16 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
   // slots.
   packings_.resize(max_exponent_ + 1);
   ball_trees_.resize(max_exponent_ + 1);
-  // reach[j][b] = r_c(j+2) of ball b's center — shared by the Type-1 store
-  // below and every Type-2 coverage test, so it's computed once per ball
-  // rather than once per (net point, ball) pair.
+  // Every r_u(j) once: one count-bounded run per node feeds all packing
+  // levels and the reach radii below.
+  const std::vector<std::vector<Weight>> radius_table =
+      size_radius_table(metric);
+  // reach[j][b] = r_c(j+2) of ball b's center, with the paper's implicit
+  // clamp (exponents above log n denote the whole graph) — shared by the
+  // Type-1 store below and every Type-2 coverage test.
   std::vector<std::vector<Weight>> reach(max_exponent_ + 1);
   for (int j = 0; j <= max_exponent_; ++j) {
-    packings_[j] = std::make_unique<BallPacking>(metric, j);
+    packings_[j] = std::make_unique<BallPacking>(metric, j, radius_table[j]);
     const std::vector<PackedBall>& balls = packings_[j]->balls();
     ball_trees_[j].resize(balls.size());
     reach[j].resize(balls.size());
@@ -96,7 +93,8 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
         auto tree = std::make_unique<SearchTree>(
             metric, ball.center, ball.radius, epsilon_,
             SearchTree::Variant::kBasic);
-        reach[j][b] = clamped_size_radius(metric, ball.center, j + 2);
+        reach[j][b] = j + 2 <= max_exponent_ ? radius_table[j + 2][ball.center]
+                                             : metric.delta();
         std::vector<std::pair<SearchTree::Key, SearchTree::Data>> pairs;
         for (NodeId v : metric.ball(ball.center, reach[j][b])) {
           pairs.emplace_back(naming.name_of(v), underlying.label(v));

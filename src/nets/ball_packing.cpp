@@ -1,11 +1,12 @@
 #include "nets/ball_packing.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
 
 #include "core/bits.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
+#include "obs/metrics.hpp"
 
 namespace compactroute {
 
@@ -17,40 +18,89 @@ Weight size_radius(const MetricSpace& metric, NodeId u, int size_exponent) {
 
 int max_size_exponent(std::size_t n) { return floor_log2(n); }
 
+std::vector<std::vector<Weight>> size_radius_table(const MetricSpace& metric) {
+  const std::size_t n = metric.n();
+  const int top = max_size_exponent(n);
+  std::vector<std::size_t> counts(top + 1);
+  for (int j = 0; j <= top; ++j) counts[j] = std::size_t{1} << j;
+  std::vector<std::vector<Weight>> table(top + 1, std::vector<Weight>(n));
+  parallel_for("nets.packing.radii", n, 16,
+               [&](std::size_t first, std::size_t last) {
+                 for (NodeId u = static_cast<NodeId>(first); u < last; ++u) {
+                   const std::vector<Weight> radii =
+                       metric.balls_oracle().size_radii(u, counts);
+                   for (int j = 0; j <= top; ++j) table[j][u] = radii[j];
+                 }
+               });
+  return table;
+}
+
+namespace {
+
+// The r_u(j) column of one level: each size radius is an independent
+// count-bounded query (2^j settles), so the n of them map over the parallel
+// executor.
+std::vector<Weight> size_radius_column(const MetricSpace& metric,
+                                       int size_exponent) {
+  std::vector<Weight> radii(metric.n());
+  parallel_for("nets.packing.radii", metric.n(), 64,
+               [&](std::size_t first, std::size_t last) {
+                 for (NodeId u = static_cast<NodeId>(first); u < last; ++u) {
+                   radii[u] = size_radius(metric, u, size_exponent);
+                 }
+               });
+  return radii;
+}
+
+}  // namespace
+
 BallPacking::BallPacking(const MetricSpace& metric, int size_exponent)
+    : BallPacking(metric, size_exponent,
+                  size_radius_column(metric, size_exponent)) {}
+
+BallPacking::BallPacking(const MetricSpace& metric, int size_exponent,
+                         std::span<const Weight> radii)
     : j_(size_exponent) {
   const std::size_t n = metric.n();
   CR_CHECK(size_exponent >= 0 && size_exponent <= max_size_exponent(n));
+  CR_CHECK(radii.size() == n);
   ball_of_.assign(n, -1);
 
   // Candidate balls ordered by (radius, center id) — the greedy order of the
-  // Packing Lemma's proof. Each size radius is an independent count-bounded
-  // query (2^j settles), so the n of them map over the parallel executor;
-  // only the greedy selection below is inherently serial.
+  // Packing Lemma's proof. The selection is inherently serial.
   std::vector<std::pair<Weight, NodeId>> order(n);
-  parallel_for("nets.packing.radii", n, 64,
-               [&](std::size_t first, std::size_t last) {
-                 for (NodeId u = static_cast<NodeId>(first); u < last; ++u) {
-                   order[u] = {size_radius(metric, u, j_), u};
-                 }
-               });
+  for (NodeId u = 0; u < n; ++u) order[u] = {radii[u], u};
   std::sort(order.begin(), order.end());
 
+  // A candidate is kept iff its ball misses every ball kept before it. Its
+  // center lies in its own ball (distance 0), so a claimed center rejects it
+  // outright; otherwise one early-exit probe decides, and only a kept ball
+  // is materialized. Same decisions as scanning every candidate's full ball.
+  std::vector<char> claimed(n, 0);
+  std::uint64_t center_rejects = 0;
+  std::uint64_t probe_rejects = 0;
   for (const auto& [radius, center] : order) {
-    std::vector<NodeId> members = metric.ball(center, radius);
-    bool disjoint = true;
-    for (NodeId v : members) {
-      if (ball_of_[v] >= 0) {
-        disjoint = false;
-        break;
-      }
+    if (claimed[center]) {
+      ++center_rejects;
+      continue;
     }
-    if (!disjoint) continue;
+    if (metric.ball_meets(center, radius, claimed)) {
+      ++probe_rejects;
+      continue;
+    }
+    std::vector<NodeId> members = metric.ball(center, radius);
     const int index = static_cast<int>(balls_.size());
-    for (NodeId v : members) ball_of_[v] = index;
+    for (NodeId v : members) {
+      ball_of_[v] = index;
+      claimed[v] = 1;
+    }
     balls_.push_back({center, radius, std::move(members)});
   }
   CR_CHECK_MSG(!balls_.empty(), "greedy packing always selects at least one ball");
+  CR_OBS_ADD("packing.candidates", n);
+  CR_OBS_ADD("packing.center_rejects", center_rejects);
+  CR_OBS_ADD("packing.probe_rejects", probe_rejects);
+  CR_OBS_ADD("packing.accepted", balls_.size());
 }
 
 int BallPacking::covering_ball(const MetricSpace& metric, NodeId u) const {

@@ -12,6 +12,7 @@
 // making them scale-free.
 //
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -28,9 +29,20 @@ struct PackedBall {
 
 class BallPacking {
  public:
-  /// Builds ℬ_j for the given size exponent (ball size target 2^j). With
-  /// ties in the metric, a ball of radius r_u(j) may hold slightly more than
-  /// 2^j nodes; the packing properties hold with "size >= 2^j".
+  /// Builds ℬ_j for the given size exponent (ball size target 2^j) from its
+  /// size-radius column, radii[u] = r_u(j) — row j of size_radius_table().
+  /// With ties in the metric, a ball of radius r_u(j) may hold slightly more
+  /// than 2^j nodes; the packing properties hold with "size >= 2^j".
+  ///
+  /// The greedy pays for the balls it keeps, not for the ones it rejects: a
+  /// candidate whose center is already claimed is rejected in O(1), any
+  /// other runs one probe that stops at the first claimed node it settles
+  /// (MetricSpace::ball_meets), and only an accepted ball is materialized.
+  /// Counted in packing.{candidates,center_rejects,probe_rejects,accepted}.
+  BallPacking(const MetricSpace& metric, int size_exponent,
+              std::span<const Weight> radii);
+  /// Same, computing the radius column itself (one count-bounded run per
+  /// node). For callers that build a single level.
   BallPacking(const MetricSpace& metric, int size_exponent);
 
   int size_exponent() const { return j_; }
@@ -55,6 +67,12 @@ class BallPacking {
 
 /// r_u(j): smallest radius whose ball around u holds 2^j nodes (u included).
 Weight size_radius(const MetricSpace& metric, NodeId u, int size_exponent);
+
+/// Every size radius of the metric: table[j][u] = r_u(j) for
+/// j = 0..max_size_exponent(n), bit-identical to size_radius(). One
+/// count-bounded run per node yields all of that node's radii at once (the
+/// prefix radii of one settle order), mapped over the parallel executor.
+std::vector<std::vector<Weight>> size_radius_table(const MetricSpace& metric);
 
 /// Largest j with 2^j <= n, i.e. the top of the packing hierarchy.
 int max_size_exponent(std::size_t n);

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
 #include "nets/ball_packing.hpp"
 #include "nets/rnet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sharded.hpp"
 #include "test_util.hpp"
 
 namespace compactroute {
@@ -182,13 +187,49 @@ TEST(RNet, Lemma22NetPointCountInBall) {
   }
 }
 
+// The literal Packing Lemma greedy: every candidate in (r_u(j), u) order
+// materializes its whole ball, and is kept iff no member is claimed yet.
+// The golden reference for BallPacking's early-exit greedy.
+std::vector<PackedBall> reference_packing(const MetricSpace& metric, int j) {
+  std::vector<std::pair<Weight, NodeId>> order;
+  for (NodeId u = 0; u < metric.n(); ++u) {
+    order.emplace_back(size_radius(metric, u, j), u);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<char> claimed(metric.n(), 0);
+  std::vector<PackedBall> balls;
+  for (const auto& [radius, center] : order) {
+    const std::vector<NodeId> members = metric.ball(center, radius);
+    bool disjoint = true;
+    for (NodeId v : members) disjoint = disjoint && !claimed[v];
+    if (!disjoint) continue;
+    for (NodeId v : members) claimed[v] = 1;
+    balls.push_back({center, radius, members});
+  }
+  return balls;
+}
+
+MetricOptions backend_options(MetricBackendKind backend) {
+  MetricOptions options;
+  options.backend = backend;
+  return options;
+}
+
+// Parameter k < zoo size is zoo graph k on a dense metric; k + zoo size is
+// the same graph row-free (the ZooRowFree instantiation below).
+constexpr int kZooSize = 12;
+
 class PackingTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PackingTest, PackingLemmaProperties) {
   const auto zoo = small_graph_zoo();
-  const auto& [name, graph] = zoo[GetParam()];
+  ASSERT_EQ(zoo.size(), static_cast<std::size_t>(kZooSize));
+  const auto& [name, graph] = zoo[GetParam() % kZooSize];
   SCOPED_TRACE(name);
-  const MetricSpace metric(graph);
+  const MetricBackendKind backend = GetParam() < kZooSize
+                                        ? MetricBackendKind::kDense
+                                        : MetricBackendKind::kRowFree;
+  const MetricSpace metric(graph, backend_options(backend));
   for (int j = 0; j <= max_size_exponent(metric.n()); ++j) {
     const BallPacking packing(metric, j);
     // Property 1: every ball holds at least 2^j nodes (ties can add more).
@@ -224,10 +265,89 @@ TEST_P(PackingTest, PackingLemmaProperties) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, PackingTest, ::testing::Range(0, 12),
+INSTANTIATE_TEST_SUITE_P(Zoo, PackingTest, ::testing::Range(0, kZooSize),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return testing::small_graph_zoo()[info.param].name;
                          });
+INSTANTIATE_TEST_SUITE_P(ZooRowFree, PackingTest,
+                         ::testing::Range(kZooSize, 2 * kZooSize),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return testing::small_graph_zoo()[info.param % kZooSize]
+                               .name;
+                         });
+
+// The early-exit greedy (center test + stop-at-first-claimed probe) must make
+// exactly the reference greedy's decisions, level by level, in both metric
+// modes — and the size-radius table the schemes feed it must match
+// size_radius(), so the table-fed constructor agrees with the one that
+// computes its own radius column.
+TEST(Packing, EarlyExitGreedyMatchesReferenceGreedy) {
+  for (const auto& [name, graph] : small_graph_zoo()) {
+    for (const MetricBackendKind backend :
+         {MetricBackendKind::kDense, MetricBackendKind::kRowFree}) {
+      SCOPED_TRACE(name + "/" + backend_name(backend));
+      const MetricSpace metric(graph, backend_options(backend));
+      const std::vector<std::vector<Weight>> table = size_radius_table(metric);
+      ASSERT_EQ(table.size(),
+                static_cast<std::size_t>(max_size_exponent(metric.n()) + 1));
+      for (int j = 0; j <= max_size_exponent(metric.n()); ++j) {
+        SCOPED_TRACE(j);
+        for (NodeId u = 0; u < metric.n(); ++u) {
+          ASSERT_EQ(table[j][u], size_radius(metric, u, j)) << u;
+        }
+        const std::vector<PackedBall> expected = reference_packing(metric, j);
+        const BallPacking own(metric, j);
+        const BallPacking fed(metric, j, table[j]);
+        for (const BallPacking* packing : {&own, &fed}) {
+          ASSERT_EQ(packing->balls().size(), expected.size());
+          std::vector<int> containing(metric.n(), -1);
+          for (std::size_t b = 0; b < expected.size(); ++b) {
+            const PackedBall& got = packing->balls()[b];
+            EXPECT_EQ(got.center, expected[b].center);
+            EXPECT_EQ(got.radius, expected[b].radius);
+            EXPECT_EQ(got.nodes, expected[b].nodes);
+            for (NodeId v : expected[b].nodes) {
+              containing[v] = static_cast<int>(b);
+            }
+          }
+          for (NodeId v = 0; v < metric.n(); ++v) {
+            EXPECT_EQ(packing->ball_containing(v), containing[v]) << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+#ifndef CR_OBS_DISABLED
+/// Process total of one counter across every registry shard.
+std::uint64_t scraped_counter(const char* name) {
+  const auto scraped = obs::scrape_global();
+  const auto it = scraped->counters().find(name);
+  return it == scraped->counters().end() ? 0 : it->second.value();
+}
+
+// Every candidate ends in exactly one of the greedy's three outcomes, and
+// the accepted count is the packings' total size.
+TEST(Packing, CountersAccountForEveryCandidate) {
+  const MetricSpace metric(make_grid_with_holes(10, 10, 4, 3, 7),
+                           backend_options(MetricBackendKind::kRowFree));
+  obs::reset_global();
+  std::size_t packed = 0;
+  const int top = max_size_exponent(metric.n());
+  for (int j = 0; j <= top; ++j) packed += BallPacking(metric, j).balls().size();
+  const std::uint64_t candidates = scraped_counter("packing.candidates");
+  const std::uint64_t center_rejects = scraped_counter("packing.center_rejects");
+  const std::uint64_t probe_rejects = scraped_counter("packing.probe_rejects");
+  const std::uint64_t accepted = scraped_counter("packing.accepted");
+  EXPECT_EQ(candidates, metric.n() * static_cast<std::size_t>(top + 1));
+  EXPECT_EQ(candidates, center_rejects + probe_rejects + accepted);
+  EXPECT_EQ(accepted, packed);
+  // Both guards fire on a non-trivial metric.
+  EXPECT_GT(center_rejects, 0u);
+  EXPECT_GT(probe_rejects, 0u);
+}
+#endif  // CR_OBS_DISABLED
 
 TEST(Packing, SizeRadiusMonotone) {
   const MetricSpace metric(make_random_geometric(64, 2, 4, 3));

@@ -8,6 +8,8 @@
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
 #include "nets/rnet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sharded.hpp"
 #include "oracle/distance_oracle.hpp"
 
 namespace compactroute {
@@ -102,6 +104,96 @@ TEST(OracleBackends, DenseAndRowFreeAgreeExactly) {
     }
   }
 }
+
+// BallOracle::ball_meets / DijkstraBounds::stop_marked: the early-exit
+// intersection probe must answer exactly "does B(center, r) hold a marked
+// node?" — the question a scan of ball() members answers — in both metric
+// modes, including at the radius boundary.
+bool meets_by_scan(const MetricSpace& metric, NodeId center, Weight radius,
+                   const std::vector<char>& marked) {
+  for (NodeId v : metric.ball(center, radius)) {
+    if (marked[v]) return true;
+  }
+  return false;
+}
+
+TEST(BallMeets, AgreesWithBallScanInBothModes) {
+  MetricOptions rowfree_options;
+  rowfree_options.backend = MetricBackendKind::kRowFree;
+  for (const OracleCase& c : oracle_cases()) {
+    SCOPED_TRACE(c.name);
+    const MetricSpace dense(c.graph);
+    const MetricSpace rowfree(c.graph, rowfree_options);
+    const std::size_t n = dense.n();
+    Prng rng(7);
+    std::size_t hits = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const NodeId center = static_cast<NodeId>(rng.next_below(n));
+      std::vector<char> marked(n, 0);
+      const std::size_t marks = rng.next_below(4);
+      for (std::size_t k = 0; k < marks; ++k) {
+        marked[rng.next_below(n)] = 1;
+      }
+      const Weight radius = rng.next_double() * dense.delta() * 0.6;
+      const bool expected = meets_by_scan(dense, center, radius, marked);
+      ASSERT_EQ(meets_by_scan(rowfree, center, radius, marked), expected);
+      EXPECT_EQ(dense.ball_meets(center, radius, marked), expected)
+          << center << " r=" << radius;
+      EXPECT_EQ(rowfree.ball_meets(center, radius, marked), expected)
+          << center << " r=" << radius;
+      hits += expected;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, 300u);
+
+    // Boundary: a lone marked node at distance exactly r is inside the
+    // ball; pulled one ulp beyond the radius it is outside.
+    for (NodeId center = 0; center < n; center += 7) {
+      const NodeId far = static_cast<NodeId>((center * 13 + 5) % n);
+      if (far == center) continue;
+      std::vector<char> marked(n, 0);
+      marked[far] = 1;
+      const Weight d = dense.dist(center, far);
+      ASSERT_EQ(rowfree.dist(center, far), d);
+      const Weight below = std::nextafter(d, 0.0);
+      for (const MetricSpace* metric : {&dense, &rowfree}) {
+        EXPECT_TRUE(metric->ball_meets(center, d, marked))
+            << metric->backend_name() << " " << center << "->" << far;
+        EXPECT_FALSE(metric->ball_meets(center, below, marked))
+            << metric->backend_name() << " " << center << "->" << far;
+        EXPECT_EQ(meets_by_scan(*metric, center, below, marked), false);
+      }
+      // The center itself is in every ball.
+      std::vector<char> self(n, 0);
+      self[center] = 1;
+      EXPECT_TRUE(rowfree.ball_meets(center, 0, self));
+      EXPECT_TRUE(dense.ball_meets(center, 0, self));
+    }
+  }
+}
+
+#ifndef CR_OBS_DISABLED
+// A near hit must stop the probe early: the row-free run settles fewer
+// nodes than the ball it was asked about.
+TEST(BallMeets, EarlyHitSettlesLessThanTheBall) {
+  MetricOptions rowfree_options;
+  rowfree_options.backend = MetricBackendKind::kRowFree;
+  const MetricSpace metric(make_grid(16, 16), rowfree_options);
+  const NodeId center = 0;
+  const Weight radius = metric.delta();
+  const std::size_t ball = metric.ball_size(center, radius);
+  ASSERT_EQ(ball, metric.n());
+  std::vector<char> marked(metric.n(), 0);
+  marked[metric.ball(center, 1.0).back()] = 1;  // a neighbor of the center
+  obs::reset_global();
+  EXPECT_TRUE(metric.ball_meets(center, radius, marked));
+  const auto scraped = obs::scrape_global();
+  const auto settled = scraped->counters().find("balls.settled");
+  ASSERT_NE(settled, scraped->counters().end());
+  EXPECT_LT(settled->second.value(), ball);
+  EXPECT_LE(settled->second.value(), 3u);
+}
+#endif  // CR_OBS_DISABLED
 
 INSTANTIATE_TEST_SUITE_P(Backends, OracleTest,
                          ::testing::Values(MetricBackendKind::kDense,
