@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <sstream>
 
+#include "io/snapshot_arena.hpp"
 #include "io/snapshot_mmap.hpp"
 #include "runtime/hop_arena.hpp"
 #include "runtime/hop_hierarchical.hpp"
@@ -25,16 +27,17 @@ std::string hex64(std::uint64_t x) {
   return out.str();
 }
 
-/// The loader under battery must reject `bytes` with SnapshotError. Files an
-/// Issue if it accepts, or if a differently-typed exception escapes.
-template <typename Loader>
-void expect_rejected_by(Report& report, Loader&& load,
+/// A loader under battery: must reject a corrupt buffer with SnapshotError.
+using Loader = std::function<void(const std::vector<std::uint8_t>&)>;
+
+/// Files an Issue if `load` accepts `bytes`, or if a differently-typed
+/// exception escapes.
+void expect_rejected_by(Report& report, const Loader& load,
                         const std::vector<std::uint8_t>& bytes,
                         const std::string& what) {
   ++report.checks;
   try {
-    SnapshotStack stack = load(bytes);
-    (void)stack;
+    load(bytes);
     report.add(kAuditor, "corruption rejected",
                what + ": corrupt snapshot was accepted");
   } catch (const SnapshotError&) {
@@ -47,10 +50,9 @@ void expect_rejected_by(Report& report, Loader&& load,
 
 /// Shared mutant generator: truncations at every structural boundary and
 /// byte flips in the magic, directory, and every payload, each handed to
-/// expect_rejected_by over the caller's loader (heap decode or mmap).
-template <typename Loader>
+/// every one of the caller's loaders (heap decode + restore, or mmap).
 Report run_corruption_battery(const std::vector<std::uint8_t>& bytes,
-                              Loader&& load) {
+                              const std::vector<Loader>& loaders) {
   Report report;
 
   // The battery needs the honest directory to aim its mutations; if the
@@ -67,6 +69,13 @@ Report run_corruption_battery(const std::vector<std::uint8_t>& bytes,
                 "snapshot has no sections");
   if (sections.empty()) return report;
 
+  const auto reject = [&](const std::vector<std::uint8_t>& mutant,
+                          const std::string& what) {
+    for (const Loader& load : loaders) {
+      expect_rejected_by(report, load, mutant, what);
+    }
+  };
+
   // Truncations: empty file, mid-magic, mid-header, every section boundary
   // (start and end of each payload), and one-byte-short. Offset tiling means
   // each of these changes the expected exact file size.
@@ -81,8 +90,7 @@ Report run_corruption_battery(const std::vector<std::uint8_t>& bytes,
     if (cut >= bytes.size()) continue;
     std::vector<std::uint8_t> truncated(bytes.begin(),
                                         bytes.begin() + static_cast<long>(cut));
-    expect_rejected_by(report, load, truncated,
-                       "truncate to " + std::to_string(cut) + " bytes");
+    reject(truncated, "truncate to " + std::to_string(cut) + " bytes");
   }
 
   // Bit flips: one byte in the magic, one in the directory, and the first,
@@ -91,8 +99,7 @@ Report run_corruption_battery(const std::vector<std::uint8_t>& bytes,
   const auto flip = [&](std::size_t pos, const std::string& what) {
     std::vector<std::uint8_t> mutated = bytes;
     mutated[pos] ^= 0x40;
-    expect_rejected_by(report, load, mutated,
-                       what + " (byte " + std::to_string(pos) + ")");
+    reject(mutated, what + " (byte " + std::to_string(pos) + ")");
   };
   flip(0, "flip magic");
   flip(20, "flip directory");
@@ -118,37 +125,37 @@ ServeFingerprints serve_fingerprints(
     const SimpleNameIndependentScheme& simple,
     const ScaleFreeNameIndependentScheme& sfni, std::size_t requests,
     std::uint64_t seed) {
+  // One arena for all four steppers — compiled once, not per scheme.
+  return serve_fingerprints(
+      csr, HopArena::build(hierarchy, &naming, &hier, &sf, &simple, &sfni),
+      requests, seed);
+}
+
+ServeFingerprints serve_fingerprints(const CsrGraph& csr,
+                                     std::shared_ptr<const HopArena> arena,
+                                     std::size_t requests,
+                                     std::uint64_t seed) {
   const std::size_t n = csr.num_nodes();
-  const auto labeled = make_requests(
-      n, requests, seed,
-      [&](NodeId v) { return std::uint64_t{hierarchy.leaf_label(v)}; });
+  const auto labeled = make_requests(n, requests, seed, [&](NodeId v) {
+    return std::uint64_t{arena->leaf_label[v]};
+  });
   const auto named = make_requests(
-      n, requests, seed + 1, [&](NodeId v) { return naming.name_of(v); });
+      n, requests, seed + 1, [&](NodeId v) { return arena->name_of[v]; });
 
   ServeOptions options;
   options.collect_latencies = false;  // fingerprints only
 
-  // One arena for all four steppers — compiled once, not per scheme.
-  const std::shared_ptr<const HopArena> arena =
-      HopArena::build(hierarchy, &naming, &hier, &sf, &simple, &sfni);
-
   ServeFingerprints fps;
-  {
-    HierarchicalHopScheme hop(hier, arena);
-    fps.hier = serve_batch(csr, hop, labeled, options).fingerprint;
-  }
-  {
-    ScaleFreeHopScheme hop(sf, arena);
-    fps.scale_free = serve_batch(csr, hop, labeled, options).fingerprint;
-  }
-  {
-    SimpleNameIndependentHopScheme hop(simple, hier, arena);
-    fps.simple = serve_batch(csr, hop, named, options).fingerprint;
-  }
-  {
-    ScaleFreeNameIndependentHopScheme hop(sfni, sf, arena);
-    fps.scale_free_ni = serve_batch(csr, hop, named, options).fingerprint;
-  }
+  fps.hier = serve_batch(csr, HierarchicalHopScheme(arena), labeled, options)
+                 .fingerprint;
+  fps.scale_free =
+      serve_batch(csr, ScaleFreeHopScheme(arena), labeled, options).fingerprint;
+  fps.simple =
+      serve_batch(csr, SimpleNameIndependentHopScheme(arena), named, options)
+          .fingerprint;
+  fps.scale_free_ni =
+      serve_batch(csr, ScaleFreeNameIndependentHopScheme(arena), named, options)
+          .fingerprint;
   return fps;
 }
 
@@ -160,23 +167,66 @@ ServeFingerprints serve_fingerprints(const SnapshotStack& stack,
                             requests, seed);
 }
 
+Report audit_snapshot_arena(const std::vector<std::uint8_t>& bytes) {
+  Report report;
+  ++report.checks;
+  std::vector<SnapshotSection> sections;
+  std::shared_ptr<const HopArena> fresh;
+  std::shared_ptr<const HopArena> restored;
+  try {
+    sections = snapshot_directory(bytes);
+    fresh = decode_snapshot(bytes).build_arena();
+    restored = restore_serving_snapshot(bytes.data(), sections).arena;
+  } catch (const std::exception& e) {
+    report.add(kAuditor, "arena sections equal a fresh compile",
+               std::string("snapshot does not load: ") + e.what());
+    return report;
+  }
+  for (std::size_t p = 0; p < kNumArenaParts; ++p) {
+    const ArenaPart part = static_cast<ArenaPart>(p);
+    const SnapshotSection& stored =
+        sections[sections.size() - kNumArenaParts + p];
+    const std::vector<std::uint8_t> compiled = arena_section_bytes(*fresh, part);
+    const bool stored_ok =
+        compiled.size() == stored.size &&
+        std::equal(compiled.begin(), compiled.end(),
+                   bytes.begin() + static_cast<long>(stored.offset));
+    report.expect(stored_ok, kAuditor, "arena sections equal a fresh compile",
+                  "section " + stored.name + " differs from HopArena::build");
+    report.expect(arena_section_bytes(*restored, part) == compiled, kAuditor,
+                  "restored arena equals a fresh compile",
+                  "restored " + stored.name + " differs from HopArena::build");
+  }
+  return report;
+}
+
 Report audit_snapshot_corruption(const std::vector<std::uint8_t>& bytes,
                                  const Options& options) {
   (void)options;
-  return run_corruption_battery(bytes, [](const std::vector<std::uint8_t>& b) {
-    return decode_snapshot(b);
-  });
+  return run_corruption_battery(
+      bytes, {[](const std::vector<std::uint8_t>& b) {
+                (void)decode_snapshot(b);
+              },
+              [](const std::vector<std::uint8_t>& b) {
+                (void)restore_serving_snapshot(b.data(), b.size());
+              }});
 }
 
 Report audit_snapshot_corruption_mmap(const std::vector<std::uint8_t>& bytes,
                                       const std::string& scratch_path,
                                       const Options& options) {
   (void)options;
-  Report report =
-      run_corruption_battery(bytes, [&](const std::vector<std::uint8_t>& b) {
+  Report report = run_corruption_battery(
+      bytes, {[&](const std::vector<std::uint8_t>& b) {
         write_snapshot_file(scratch_path, b);
-        return load_snapshot_mmap(scratch_path);
-      });
+        const MappedSnapshot mapped(scratch_path);
+        (void)mapped.decode();
+      },
+              [&](const std::vector<std::uint8_t>& b) {
+                write_snapshot_file(scratch_path, b);
+                const MappedSnapshot mapped(scratch_path);
+                (void)restore_serving_snapshot(mapped.data(), mapped.size());
+              }});
   std::remove(scratch_path.c_str());
   return report;
 }
@@ -217,6 +267,17 @@ Report audit_snapshot_roundtrip(const MetricSpace& metric,
       options.seed);
   const ServeFingerprints loaded =
       serve_fingerprints(stack, requests, options.seed);
+  ServeFingerprints restored;
+  ++report.checks;
+  try {
+    const ServingSnapshot serving =
+        restore_serving_snapshot(bytes.data(), bytes.size());
+    restored = serve_fingerprints(serving.csr, serving.arena, requests,
+                                  options.seed);
+  } catch (const std::exception& e) {
+    report.add(kAuditor, "round trip restores",
+               std::string("fresh encode failed to restore: ") + e.what());
+  }
 
   const auto expect_fp = [&](const char* scheme, std::uint64_t a,
                              std::uint64_t b) {
@@ -228,7 +289,14 @@ Report audit_snapshot_roundtrip(const MetricSpace& metric,
   expect_fp("labeled/scale-free", fresh.scale_free, loaded.scale_free);
   expect_fp("ni/simple", fresh.simple, loaded.simple);
   expect_fp("ni/scale-free", fresh.scale_free_ni, loaded.scale_free_ni);
+  expect_fp("restored labeled/hierarchical", fresh.hier, restored.hier);
+  expect_fp("restored labeled/scale-free", fresh.scale_free,
+            restored.scale_free);
+  expect_fp("restored ni/simple", fresh.simple, restored.simple);
+  expect_fp("restored ni/scale-free", fresh.scale_free_ni,
+            restored.scale_free_ni);
 
+  report.merge(audit_snapshot_arena(bytes));
   report.merge(audit_snapshot_corruption(bytes, options));
   return report;
 }

@@ -4,8 +4,14 @@
 #include <cstring>
 #include <fstream>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 #include "codec/bitstream.hpp"
 #include "core/check.hpp"
+#include "io/snapshot_arena.hpp"
+#include "obs/metrics.hpp"
 #include "trees/compact_tree_router.hpp"
 
 namespace compactroute {
@@ -13,7 +19,7 @@ namespace compactroute {
 namespace {
 
 constexpr std::uint8_t kMagic[8] = {'C', 'R', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 enum SectionId : std::uint32_t {
   kSectionMeta = 1,
@@ -24,12 +30,23 @@ enum SectionId : std::uint32_t {
   kSectionScaleFree = 6,
   kSectionSimple = 7,
   kSectionSfni = 8,
+  kSectionArenaNodes = 9,
+  kSectionArenaHier = 10,
+  kSectionArenaSf = 11,
+  kSectionArenaSimple = 12,
+  kSectionArenaSfni = 13,
 };
 
+// The canonical section list: a v2 directory holds exactly these ids, in
+// this order (the arena sections after the eight compact ones).
 constexpr std::uint32_t kSectionIds[] = {
-    kSectionMeta, kSectionGraph, kSectionHierarchy, kSectionNaming,
-    kSectionHier, kSectionScaleFree, kSectionSimple, kSectionSfni};
+    kSectionMeta,       kSectionGraph,      kSectionHierarchy,
+    kSectionNaming,     kSectionHier,       kSectionScaleFree,
+    kSectionSimple,     kSectionSfni,       kSectionArenaNodes,
+    kSectionArenaHier,  kSectionArenaSf,    kSectionArenaSimple,
+    kSectionArenaSfni};
 constexpr std::size_t kNumSections = sizeof(kSectionIds) / sizeof(kSectionIds[0]);
+constexpr std::size_t kNumCompactSections = 8;
 constexpr std::size_t kEntryBytes = 4 + 8 + 8 + 4;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 4;
 
@@ -43,9 +60,17 @@ const char* section_name(std::uint32_t id) {
     case kSectionScaleFree: return "labeled-scale-free";
     case kSectionSimple: return "ni-simple";
     case kSectionSfni: return "ni-scale-free";
+    case kSectionArenaNodes: return "arena-nodes";
+    case kSectionArenaHier: return "arena-hier";
+    case kSectionArenaSf: return "arena-sf";
+    case kSectionArenaSimple: return "arena-simple";
+    case kSectionArenaSfni: return "arena-sfni";
   }
   return "unknown";
 }
+
+/// Directory position of a section in the canonical list.
+constexpr std::size_t section_index(std::uint32_t id) { return id - 1; }
 
 [[noreturn]] void corrupt(const std::string& why) {
   throw SnapshotError("corrupt snapshot: " + why);
@@ -347,6 +372,7 @@ struct SnapshotAccess {
 
   static std::unique_ptr<HierarchicalLabeledScheme> decode_hier(
       BitReader& r, std::size_t n, const NetHierarchy* hierarchy) {
+    CR_OBS_COUNT("snapshot.scheme_decodes");
     auto s = std::unique_ptr<HierarchicalLabeledScheme>(
         new HierarchicalLabeledScheme());
     s->hierarchy_ = hierarchy;
@@ -414,6 +440,7 @@ struct SnapshotAccess {
 
   static std::unique_ptr<ScaleFreeLabeledScheme> decode_scale_free(
       BitReader& r, std::size_t n, const NetHierarchy* hierarchy) {
+    CR_OBS_COUNT("snapshot.scheme_decodes");
     auto s =
         std::unique_ptr<ScaleFreeLabeledScheme>(new ScaleFreeLabeledScheme());
     s->hierarchy_ = hierarchy;
@@ -490,6 +517,7 @@ struct SnapshotAccess {
   static std::unique_ptr<SimpleNameIndependentScheme> decode_simple(
       BitReader& r, std::size_t n, const NetHierarchy* hierarchy,
       const Naming* naming, const LabeledScheme* underlying) {
+    CR_OBS_COUNT("snapshot.scheme_decodes");
     auto s = std::unique_ptr<SimpleNameIndependentScheme>(
         new SimpleNameIndependentScheme());
     s->hierarchy_ = hierarchy;
@@ -533,6 +561,7 @@ struct SnapshotAccess {
   static std::unique_ptr<ScaleFreeNameIndependentScheme> decode_sfni(
       BitReader& r, std::size_t n, const NetHierarchy* hierarchy,
       const Naming* naming, const LabeledScheme* underlying) {
+    CR_OBS_COUNT("snapshot.scheme_decodes");
     auto s = std::unique_ptr<ScaleFreeNameIndependentScheme>(
         new ScaleFreeNameIndependentScheme());
     s->hierarchy_ = hierarchy;
@@ -678,13 +707,32 @@ std::vector<std::uint8_t> encode_section(
   return {};
 }
 
-}  // namespace
+/// Header + directory bytes for payloads of the given sizes and CRCs, in
+/// canonical order.
+std::vector<std::uint8_t> header_bytes(
+    const std::vector<SnapshotSection>& sections) {
+  std::vector<std::uint8_t> directory;
+  directory.reserve(kNumSections * kEntryBytes);
+  for (const SnapshotSection& section : sections) {
+    append_u32(directory, section.id);
+    append_u64(directory, section.offset);
+    append_u64(directory, section.size);
+    append_u32(directory, section.crc);
+  }
+  std::vector<std::uint8_t> header;
+  header.reserve(kHeaderBytes + directory.size());
+  header.insert(header.end(), kMagic, kMagic + 8);
+  append_u32(header, kFormatVersion);
+  append_u32(header, static_cast<std::uint32_t>(sections.size()));
+  append_u32(header, snapshot_crc32(directory.data(), directory.size()));
+  header.insert(header.end(), directory.begin(), directory.end());
+  return header;
+}
 
-std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
-  // IEEE 802.3 CRC32 (reflected polynomial 0xEDB88320), slicing-by-8:
-  // table[k][b] is the CRC contribution of byte b followed by k zero bytes,
-  // so eight input bytes fold into the register with eight independent
-  // lookups. Byte-serial steps handle the tail.
+// ---- CRC32 kernels ----
+
+/// table[k][b]: the CRC contribution of byte b followed by k zero bytes.
+const std::array<std::array<std::uint32_t, 256>, 8>& crc_tables() {
   static const auto table = [] {
     std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -699,7 +747,15 @@ std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
     }
     return t;
   }();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  return table;
+}
+
+/// Slicing-by-8 over the raw CRC register (no pre/post inversion): eight
+/// input bytes fold into the register with eight independent lookups;
+/// byte-serial steps handle the tail.
+std::uint32_t crc_register_slicing(std::uint32_t crc, const std::uint8_t* data,
+                                   std::size_t size) {
+  const auto& table = crc_tables();
   std::size_t i = 0;
   for (; i + 8 <= size; i += 8) {
     const std::uint32_t lo = get_u32(data + i) ^ crc;
@@ -712,7 +768,117 @@ std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
   for (; i < size; ++i) {
     crc = table[0][(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CR_CRC_CLMUL 1
+
+/// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ", Intel 2009), bit-reflected for the
+/// IEEE polynomial: four 128-bit lanes fold 64 bytes per step, the lanes
+/// fold into one, 16-byte blocks fold into it, and a Barrett reduction
+/// brings the 64-bit remainder down to 32 bits. The constants are
+/// x^k mod P(x) (reflected, shifted left by one) for the fold distances
+/// 4*128±32 and 128±32 bits, x^64 mod P(x), and the Barrett pair (P', mu).
+/// Takes and returns the raw register; a tail under 16 bytes is left to
+/// slicing-by-8.
+__attribute__((target("pclmul,sse2"))) inline __m128i clmul_load(
+    const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// x * x^(distance) folded onto the next block: lo * k.lo ^ hi * k.hi ^ next.
+__attribute__((target("pclmul,sse2"))) inline __m128i clmul_fold(
+    __m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+__attribute__((target("pclmul,sse2"))) std::uint32_t crc_register_clmul(
+    std::uint32_t crc, const std::uint8_t* data, std::size_t size) {
+  if (size < 64) return crc_register_slicing(crc, data, size);
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+  __m128i x1 = _mm_xor_si128(clmul_load(data),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = clmul_load(data + 16);
+  __m128i x3 = clmul_load(data + 32);
+  __m128i x4 = clmul_load(data + 48);
+  data += 64;
+  size -= 64;
+  for (; size >= 64; data += 64, size -= 64) {
+    x1 = clmul_fold(x1, k1k2, clmul_load(data));
+    x2 = clmul_fold(x2, k1k2, clmul_load(data + 16));
+    x3 = clmul_fold(x3, k1k2, clmul_load(data + 32));
+    x4 = clmul_fold(x4, k1k2, clmul_load(data + 48));
+  }
+  x1 = clmul_fold(x1, k3k4, x2);
+  x1 = clmul_fold(x1, k3k4, x3);
+  x1 = clmul_fold(x1, k3k4, x4);
+  for (; size >= 16; data += 16, size -= 16) {
+    x1 = clmul_fold(x1, k3k4, clmul_load(data));
+  }
+
+  // 128 -> 64 bits (appending 32 zero bits), then 64 -> 32.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00));
+  // Barrett reduction.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  crc = static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x1, 4)));
+  return crc_register_slicing(crc, data, size);
+}
+#endif  // x86-64 GCC/Clang
+
+using CrcRegisterFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                        std::size_t);
+
+bool cpu_has_clmul() {
+#ifdef CR_CRC_CLMUL
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse2");
+#else
+  return false;
+#endif
+}
+
+CrcRegisterFn pick_crc_kernel() {
+#ifdef CR_CRC_CLMUL
+  if (cpu_has_clmul()) return crc_register_clmul;
+#endif
+  return crc_register_slicing;
+}
+
+const CrcRegisterFn g_crc_kernel = pick_crc_kernel();
+
+}  // namespace
+
+std::uint32_t snapshot_crc32_extend(std::uint32_t crc, const std::uint8_t* data,
+                                    std::size_t size) {
+  return ~g_crc_kernel(~crc, data, size);
+}
+
+std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size) {
+  return snapshot_crc32_extend(0, data, size);
+}
+
+std::uint32_t snapshot_crc32_slicing_by_8(const std::uint8_t* data,
+                                          std::size_t size) {
+  return ~crc_register_slicing(~0u, data, size);
+}
+
+std::uint32_t snapshot_crc32_clmul(const std::uint8_t* data, std::size_t size) {
+#ifdef CR_CRC_CLMUL
+  if (cpu_has_clmul()) return ~crc_register_clmul(~0u, data, size);
+#endif
+  return snapshot_crc32_slicing_by_8(data, size);
 }
 
 std::vector<std::uint8_t> encode_snapshot(
@@ -722,30 +888,33 @@ std::vector<std::uint8_t> encode_snapshot(
     const ScaleFreeNameIndependentScheme& sfni) {
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.reserve(kNumSections);
-  for (std::uint32_t id : kSectionIds) {
-    payloads.push_back(encode_section(id, metric, epsilon, hierarchy, naming,
-                                      hier, sf, simple, sfni));
+  for (std::size_t i = 0; i < kNumCompactSections; ++i) {
+    payloads.push_back(encode_section(kSectionIds[i], metric, epsilon,
+                                      hierarchy, naming, hier, sf, simple,
+                                      sfni));
+  }
+  // The arena rows, compiled exactly as the streaming writer compiles them.
+  HopArenaCompiler compiler(hierarchy, &naming);
+  compiler.add_hier(hier);
+  compiler.add_sf(sf);
+  compiler.add_simple(simple);
+  compiler.add_sfni(sfni);
+  const std::shared_ptr<const HopArena> arena = compiler.finish();
+  for (std::size_t p = 0; p < kNumArenaParts; ++p) {
+    payloads.push_back(arena_section_bytes(*arena, static_cast<ArenaPart>(p)));
   }
 
-  const std::size_t header_size = kHeaderBytes + kNumSections * kEntryBytes;
-  std::vector<std::uint8_t> directory;
-  directory.reserve(kNumSections * kEntryBytes);
-  std::uint64_t offset = header_size;
+  std::vector<SnapshotSection> sections(kNumSections);
+  std::uint64_t offset = kHeaderBytes + kNumSections * kEntryBytes;
   for (std::size_t i = 0; i < kNumSections; ++i) {
-    append_u32(directory, kSectionIds[i]);
-    append_u64(directory, offset);
-    append_u64(directory, payloads[i].size());
-    append_u32(directory, snapshot_crc32(payloads[i].data(), payloads[i].size()));
+    sections[i].id = kSectionIds[i];
+    sections[i].offset = offset;
+    sections[i].size = payloads[i].size();
+    sections[i].crc = snapshot_crc32(payloads[i].data(), payloads[i].size());
     offset += payloads[i].size();
   }
-
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out = header_bytes(sections);
   out.reserve(offset);
-  out.insert(out.end(), kMagic, kMagic + 8);
-  append_u32(out, kFormatVersion);
-  append_u32(out, static_cast<std::uint32_t>(kNumSections));
-  append_u32(out, snapshot_crc32(directory.data(), directory.size()));
-  out.insert(out.end(), directory.begin(), directory.end());
   for (const auto& payload : payloads) {
     out.insert(out.end(), payload.begin(), payload.end());
   }
@@ -760,8 +929,28 @@ struct SnapshotStreamWriter::Impl {
   std::vector<SnapshotSection> sections;
   std::uint64_t offset = 0;
   std::unique_ptr<BitWriter> simple_writer;
+  int simple_levels = 0;
   int simple_levels_left = -1;
+  const NetHierarchy* hierarchy = nullptr;  // add_hierarchy -> add_naming
+  std::unique_ptr<HopArenaCompiler> compiler;
   bool finished = false;
+
+  void write(const void* data, std::size_t size) {
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(size));
+    if (!out) throw SnapshotError("short write to " + path);
+  }
+
+  /// Records the next canonical section as [start, offset) with `crc`.
+  void close_section(std::uint64_t start, std::uint32_t crc) {
+    SnapshotSection section;
+    section.id = kSectionIds[sections.size()];
+    section.name = section_name(section.id);
+    section.offset = start;
+    section.size = offset - start;
+    section.crc = crc;
+    sections.push_back(std::move(section));
+  }
 };
 
 SnapshotStreamWriter::SnapshotStreamWriter(const std::string& path)
@@ -772,8 +961,7 @@ SnapshotStreamWriter::SnapshotStreamWriter(const std::string& path)
   // Placeholder header + directory (all zeros — not a valid magic, so a
   // crashed build never leaves a loadable file); finish() patches it.
   const std::vector<char> zeros(kHeaderBytes + kNumSections * kEntryBytes, 0);
-  impl_->out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
-  if (!impl_->out) throw SnapshotError("short write to " + path);
+  impl_->write(zeros.data(), zeros.size());
   impl_->offset = zeros.size();
 }
 
@@ -783,20 +971,13 @@ void SnapshotStreamWriter::append_section(
     std::uint32_t id, const std::vector<std::uint8_t>& payload) {
   CR_CHECK_MSG(!impl_->finished, "append after finish()");
   CR_CHECK_MSG(!impl_->simple_writer, "append during a simple-level stream");
-  CR_CHECK(impl_->sections.size() < kNumSections);
+  CR_CHECK(impl_->sections.size() < kNumCompactSections);
   CR_CHECK_MSG(id == kSectionIds[impl_->sections.size()],
                "sections must be appended in container order");
-  impl_->out.write(reinterpret_cast<const char*>(payload.data()),
-                   static_cast<std::streamsize>(payload.size()));
-  if (!impl_->out) throw SnapshotError("short write to " + impl_->path);
-  SnapshotSection section;
-  section.id = id;
-  section.name = section_name(id);
-  section.offset = impl_->offset;
-  section.size = payload.size();
-  section.crc = snapshot_crc32(payload.data(), payload.size());
-  impl_->sections.push_back(std::move(section));
+  const std::uint64_t start = impl_->offset;
+  impl_->write(payload.data(), payload.size());
   impl_->offset += payload.size();
+  impl_->close_section(start, snapshot_crc32(payload.data(), payload.size()));
 }
 
 void SnapshotStreamWriter::add_meta(const MetricSpace& metric, double epsilon) {
@@ -810,30 +991,39 @@ void SnapshotStreamWriter::add_graph(const MetricSpace& metric) {
 void SnapshotStreamWriter::add_hierarchy(const NetHierarchy& hierarchy,
                                          std::size_t n) {
   append_section(kSectionHierarchy, hierarchy_payload(hierarchy, n));
+  impl_->hierarchy = &hierarchy;
 }
 
 void SnapshotStreamWriter::add_naming(const Naming& naming, std::size_t n) {
   append_section(kSectionNaming, naming_payload(naming, n));
+  CR_CHECK_MSG(impl_->hierarchy != nullptr, "add_naming before add_hierarchy");
+  impl_->compiler =
+      std::make_unique<HopArenaCompiler>(*impl_->hierarchy, &naming);
+  impl_->hierarchy = nullptr;
 }
 
 void SnapshotStreamWriter::add_hier(const HierarchicalLabeledScheme* scheme,
                                     std::size_t n) {
   append_section(kSectionHier, hier_payload(scheme, n));
+  if (scheme != nullptr) impl_->compiler->add_hier(*scheme);
 }
 
 void SnapshotStreamWriter::add_scale_free(const ScaleFreeLabeledScheme* scheme,
                                           std::size_t n) {
   append_section(kSectionScaleFree, scale_free_payload(scheme, n));
+  if (scheme != nullptr) impl_->compiler->add_sf(*scheme);
 }
 
 void SnapshotStreamWriter::add_simple(
     const SimpleNameIndependentScheme* scheme) {
   append_section(kSectionSimple, simple_payload(scheme));
+  if (scheme != nullptr) impl_->compiler->add_simple(*scheme);
 }
 
 void SnapshotStreamWriter::add_sfni(
     const ScaleFreeNameIndependentScheme* scheme, std::size_t n) {
   append_section(kSectionSfni, sfni_payload(scheme, n));
+  if (scheme != nullptr) impl_->compiler->add_sfni(*scheme);
 }
 
 void SnapshotStreamWriter::begin_simple(double epsilon, int levels) {
@@ -844,6 +1034,7 @@ void SnapshotStreamWriter::begin_simple(double epsilon, int levels) {
   impl_->simple_writer = std::make_unique<BitWriter>();
   put_f64(*impl_->simple_writer, epsilon);
   impl_->simple_writer->write_varint(static_cast<std::uint64_t>(levels));
+  impl_->simple_levels = levels;
   impl_->simple_levels_left = levels;
 }
 
@@ -854,6 +1045,8 @@ void SnapshotStreamWriter::add_simple_level(
   BitWriter& w = *impl_->simple_writer;
   w.write_varint(trees.size());
   for (const auto& tree : trees) SnapshotAccess::encode_search_tree(w, *tree);
+  impl_->compiler->add_simple_level(
+      impl_->simple_levels - impl_->simple_levels_left, trees);
   --impl_->simple_levels_left;
 }
 
@@ -868,34 +1061,35 @@ void SnapshotStreamWriter::end_simple() {
 }
 
 std::uint64_t SnapshotStreamWriter::finish() {
-  CR_CHECK_MSG(!impl_->finished, "finish() called twice");
-  CR_CHECK_MSG(impl_->sections.size() == kNumSections,
+  Impl& impl = *impl_;
+  CR_CHECK_MSG(!impl.finished, "finish() called twice");
+  CR_CHECK_MSG(impl.sections.size() == kNumCompactSections,
                "finish() before every section was added");
-  std::vector<std::uint8_t> directory;
-  directory.reserve(kNumSections * kEntryBytes);
-  for (const SnapshotSection& section : impl_->sections) {
-    append_u32(directory, section.id);
-    append_u64(directory, section.offset);
-    append_u64(directory, section.size);
-    append_u32(directory, section.crc);
+  // The arena sections go straight from the compiled slabs to the file,
+  // each with a running CRC.
+  const std::shared_ptr<const HopArena> arena = impl.compiler->finish();
+  impl.compiler.reset();
+  for (std::size_t p = 0; p < kNumArenaParts; ++p) {
+    const std::uint64_t start = impl.offset;
+    std::uint32_t crc = 0;
+    write_arena_section(*arena, static_cast<ArenaPart>(p),
+                        [&](const void* data, std::size_t size) {
+                          impl.write(data, size);
+                          impl.offset += size;
+                          crc = snapshot_crc32_extend(
+                              crc, static_cast<const std::uint8_t*>(data), size);
+                        });
+    impl.close_section(start, crc);
   }
-  std::vector<std::uint8_t> header;
-  header.reserve(kHeaderBytes);
-  header.insert(header.end(), kMagic, kMagic + 8);
-  append_u32(header, kFormatVersion);
-  append_u32(header, static_cast<std::uint32_t>(kNumSections));
-  append_u32(header, snapshot_crc32(directory.data(), directory.size()));
 
-  impl_->out.seekp(0);
-  impl_->out.write(reinterpret_cast<const char*>(header.data()),
-                   static_cast<std::streamsize>(header.size()));
-  impl_->out.write(reinterpret_cast<const char*>(directory.data()),
-                   static_cast<std::streamsize>(directory.size()));
-  impl_->out.flush();
-  if (!impl_->out) throw SnapshotError("short write to " + impl_->path);
-  impl_->out.close();
-  impl_->finished = true;
-  return impl_->offset;
+  const std::vector<std::uint8_t> header = header_bytes(impl.sections);
+  impl.out.seekp(0);
+  impl.write(header.data(), header.size());
+  impl.out.flush();
+  if (!impl.out) throw SnapshotError("short write to " + impl.path);
+  impl.out.close();
+  impl.finished = true;
+  return impl.offset;
 }
 
 std::vector<SnapshotSection> snapshot_directory(const std::uint8_t* data,
@@ -904,7 +1098,11 @@ std::vector<SnapshotSection> snapshot_directory(const std::uint8_t* data,
   if (std::memcmp(data, kMagic, 8) != 0) corrupt("bad magic");
   const std::uint32_t version = get_u32(data + 8);
   if (version != kFormatVersion) {
-    corrupt("unsupported format version " + std::to_string(version));
+    corrupt("unsupported format version " + std::to_string(version) +
+            " (this build reads v" + std::to_string(kFormatVersion) +
+            (version == 1 ? "; v1 snapshots carry no arena sections, rebuild "
+                            "the snapshot)"
+                          : ")"));
   }
   const std::uint32_t count = get_u32(data + 12);
   if (count == 0 || count > 64) corrupt("implausible section count");
@@ -916,28 +1114,52 @@ std::vector<SnapshotSection> snapshot_directory(const std::uint8_t* data,
     corrupt("directory CRC mismatch");
   }
 
+  // Exactly the canonical id set, in canonical order: an unknown, repeated,
+  // missing or reordered id is a defect, never something to skip.
   std::vector<SnapshotSection> sections(count);
-  std::uint64_t expected_offset = header_size;
+  bool seen[kNumSections] = {};
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint8_t* entry = data + kHeaderBytes + i * kEntryBytes;
-    sections[i].id = get_u32(entry);
-    sections[i].name = section_name(sections[i].id);
-    sections[i].offset = get_u64(entry + 4);
-    sections[i].size = get_u64(entry + 12);
-    sections[i].crc = get_u32(entry + 20);
-    if (sections[i].offset != expected_offset) {
-      corrupt("section " + sections[i].name + " offset mismatch");
+    SnapshotSection& s = sections[i];
+    s.id = get_u32(entry);
+    s.offset = get_u64(entry + 4);
+    s.size = get_u64(entry + 12);
+    s.crc = get_u32(entry + 20);
+    if (s.id == 0 || s.id > kNumSections) {
+      corrupt("unknown section id " + std::to_string(s.id));
     }
-    expected_offset += sections[i].size;
+    s.name = section_name(s.id);
+    if (seen[section_index(s.id)]) corrupt("duplicate section " + s.name);
+    seen[section_index(s.id)] = true;
+  }
+  for (const std::uint32_t id : kSectionIds) {
+    if (!seen[section_index(id)]) {
+      corrupt(std::string("missing section ") + section_name(id));
+    }
+  }
+  std::uint64_t expected_offset = header_size;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const SnapshotSection& s = sections[i];
+    if (s.id != kSectionIds[i]) corrupt("section " + s.name + " out of order");
+    if (s.offset != expected_offset) {
+      corrupt("section " + s.name + " offset mismatch");
+    }
+    if (s.size > size - std::min<std::uint64_t>(expected_offset, size)) {
+      corrupt("section " + s.name + " runs past the end of the file");
+    }
+    expected_offset += s.size;
   }
   // Payloads must tile the file exactly: truncation (and padding) always
   // changes the total size, so it is caught before any payload is parsed.
   if (expected_offset != size) {
     corrupt("file size disagrees with directory (truncated?)");
   }
-  for (const SnapshotSection& section : sections) {
-    if (snapshot_crc32(data + section.offset, section.size) != section.crc) {
-      corrupt("section " + section.name + " CRC mismatch");
+  {
+    CR_OBS_SCOPED_TIMER("snapshot.crc");
+    for (const SnapshotSection& section : sections) {
+      if (snapshot_crc32(data + section.offset, section.size) != section.crc) {
+        corrupt("section " + section.name + " CRC mismatch");
+      }
     }
   }
   return sections;
@@ -950,84 +1172,114 @@ std::vector<SnapshotSection> snapshot_directory(
 
 namespace {
 
+BitReader section_reader(const std::uint8_t* data, const SnapshotSection& s) {
+  return BitReader(data + s.offset, static_cast<std::size_t>(s.size));
+}
+
+/// Each section decoder must consume its payload exactly (up to byte
+/// padding): trailing garbage means the writer and reader disagree.
+void finish_section(const BitReader& r, const SnapshotSection& s) {
+  if ((r.bits_consumed() + 7) / 8 != s.size) {
+    corrupt(std::string("section ") + s.name + " has trailing bytes");
+  }
+}
+
+struct Meta {
+  std::size_t n = 0;
+  double epsilon = 0;
+  Weight normalization_scale = 1;
+  Weight delta = 0;
+  int num_levels = 0;
+};
+
+Meta decode_meta(const std::uint8_t* data, const SnapshotSection& s) {
+  BitReader r = section_reader(data, s);
+  Meta meta;
+  meta.n = get_count(r, std::size_t{1} << 28, "node count");
+  if (meta.n < 2) corrupt("node count must be at least 2");
+  meta.epsilon = get_f64(r);
+  if (!(meta.epsilon > 0) || !(meta.epsilon < 1)) {
+    corrupt("epsilon out of range");
+  }
+  meta.normalization_scale = get_f64(r);
+  meta.delta = get_f64(r);
+  meta.num_levels = static_cast<int>(get_count(r, 4096, "level count"));
+  finish_section(r, s);
+  return meta;
+}
+
+Graph decode_graph(const std::uint8_t* data, const SnapshotSection& s,
+                   std::size_t n) {
+  BitReader r = section_reader(data, s);
+  if (r.read_varint() != n) corrupt("graph node count disagrees with meta");
+  Graph graph(n);
+  for (NodeId u = 0; u < n; ++u) {
+    const std::size_t forward = get_count(r, n, "edge count");
+    for (std::size_t e = 0; e < forward; ++e) {
+      const NodeId v = get_node(r, n);
+      const Weight weight = get_f64(r);
+      if (v <= u) corrupt("graph edges must point forward");
+      if (!(weight > 0) || weight == kInfiniteWeight) {
+        corrupt("graph edge weight must be finite and positive");
+      }
+      graph.add_edge(u, v, weight);
+    }
+  }
+  finish_section(r, s);
+  return graph;
+}
+
+/// Any internal invariant tripping on corrupt bytes (codec underflow,
+/// tree-restore CR_CHECKs, allocation failure) surfaces as the typed loader
+/// error, never as a crash.
+template <typename F>
+auto as_snapshot_error(F&& f) -> decltype(f()) {
+  try {
+    return f();
+  } catch (const SnapshotError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw SnapshotError(std::string("corrupt snapshot: ") + e.what());
+  }
+}
+
 // Decodes straight out of `[data, data + size)` — every section is read via a
 // borrowed-span BitReader at its directory offset, so the caller's buffer
 // (heap vector or mmap'd file) is never copied per section. The buffer only
 // needs to stay alive for the duration of the call: decoded components own
-// their own storage.
+// their own storage. The arena sections are verified (CRC) but not read.
 SnapshotStack decode_snapshot_impl(const std::uint8_t* data, std::size_t size) {
   const std::vector<SnapshotSection> sections = snapshot_directory(data, size);
-  const auto find = [&](std::uint32_t id) -> const SnapshotSection& {
-    for (const SnapshotSection& section : sections) {
-      if (section.id == id) return section;
-    }
-    corrupt(std::string("missing section ") + section_name(id));
-  };
-  const auto reader = [&](const SnapshotSection& s) {
-    return BitReader(data + s.offset, static_cast<std::size_t>(s.size));
-  };
-  // Each section decoder must consume its payload exactly (up to byte
-  // padding): trailing garbage means the writer and reader disagree.
-  const auto finish = [&](BitReader& r, const SnapshotSection& s) {
-    if ((r.bits_consumed() + 7) / 8 != s.size) {
-      corrupt(std::string("section ") + s.name + " has trailing bytes");
-    }
+  const auto section = [&](std::uint32_t id) -> const SnapshotSection& {
+    return sections[section_index(id)];
   };
 
   SnapshotStack stack;
-
-  {
-    const SnapshotSection& s = find(kSectionMeta);
-    BitReader r = reader(s);
-    stack.n = get_count(r, std::size_t{1} << 28, "node count");
-    if (stack.n < 2) corrupt("node count must be at least 2");
-    stack.epsilon = get_f64(r);
-    if (!(stack.epsilon > 0) || !(stack.epsilon < 1)) {
-      corrupt("epsilon out of range");
-    }
-    stack.normalization_scale = get_f64(r);
-    stack.delta = get_f64(r);
-    stack.num_levels = static_cast<int>(get_count(r, 4096, "level count"));
-    finish(r, s);
-  }
+  const Meta meta = decode_meta(data, section(kSectionMeta));
+  stack.n = meta.n;
+  stack.epsilon = meta.epsilon;
+  stack.normalization_scale = meta.normalization_scale;
+  stack.delta = meta.delta;
+  stack.num_levels = meta.num_levels;
   const std::size_t n = stack.n;
 
-  {
-    const SnapshotSection& s = find(kSectionGraph);
-    BitReader r = reader(s);
-    if (r.read_varint() != n) corrupt("graph node count disagrees with meta");
-    Graph graph(n);
-    for (NodeId u = 0; u < n; ++u) {
-      const std::size_t forward = get_count(r, n, "edge count");
-      for (std::size_t e = 0; e < forward; ++e) {
-        const NodeId v = get_node(r, n);
-        const Weight weight = get_f64(r);
-        if (v <= u) corrupt("graph edges must point forward");
-        if (!(weight > 0) || weight == kInfiniteWeight) {
-          corrupt("graph edge weight must be finite and positive");
-        }
-        graph.add_edge(u, v, weight);
-      }
-    }
-    stack.graph = std::move(graph);
-    stack.csr = CsrGraph(stack.graph);
-    finish(r, s);
-  }
+  stack.graph = decode_graph(data, section(kSectionGraph), n);
+  stack.csr = CsrGraph(stack.graph);
 
   {
-    const SnapshotSection& s = find(kSectionHierarchy);
-    BitReader r = reader(s);
+    const SnapshotSection& s = section(kSectionHierarchy);
+    BitReader r = section_reader(data, s);
     stack.hierarchy = SnapshotAccess::decode_hierarchy(r, n);
-    finish(r, s);
+    finish_section(r, s);
   }
 
   {
-    const SnapshotSection& s = find(kSectionNaming);
-    BitReader r = reader(s);
+    const SnapshotSection& s = section(kSectionNaming);
+    BitReader r = section_reader(data, s);
     std::vector<std::uint64_t> names(n);
     for (std::uint64_t& name : names) name = r.read_varint();
     stack.naming = std::make_unique<Naming>(std::move(names));
-    finish(r, s);
+    finish_section(r, s);
   }
 
   // Scheme sections may be zero-length (subset snapshots from streaming
@@ -1035,42 +1287,42 @@ SnapshotStack decode_snapshot_impl(const std::uint8_t* data, std::size_t size) {
   // its underlying labeled scheme is unserveable, so that combination is
   // rejected as corruption.
   {
-    const SnapshotSection& s = find(kSectionHier);
+    const SnapshotSection& s = section(kSectionHier);
     if (s.size != 0) {
-      BitReader r = reader(s);
+      BitReader r = section_reader(data, s);
       stack.hier = SnapshotAccess::decode_hier(r, n, stack.hierarchy.get());
-      finish(r, s);
+      finish_section(r, s);
     }
   }
 
   {
-    const SnapshotSection& s = find(kSectionScaleFree);
+    const SnapshotSection& s = section(kSectionScaleFree);
     if (s.size != 0) {
-      BitReader r = reader(s);
+      BitReader r = section_reader(data, s);
       stack.sf = SnapshotAccess::decode_scale_free(r, n, stack.hierarchy.get());
-      finish(r, s);
+      finish_section(r, s);
     }
   }
 
   {
-    const SnapshotSection& s = find(kSectionSimple);
+    const SnapshotSection& s = section(kSectionSimple);
     if (s.size != 0) {
       if (!stack.hier) corrupt("ni-simple requires labeled-hierarchical");
-      BitReader r = reader(s);
+      BitReader r = section_reader(data, s);
       stack.simple = SnapshotAccess::decode_simple(
           r, n, stack.hierarchy.get(), stack.naming.get(), stack.hier.get());
-      finish(r, s);
+      finish_section(r, s);
     }
   }
 
   {
-    const SnapshotSection& s = find(kSectionSfni);
+    const SnapshotSection& s = section(kSectionSfni);
     if (s.size != 0) {
       if (!stack.sf) corrupt("ni-scale-free requires labeled-scale-free");
-      BitReader r = reader(s);
+      BitReader r = section_reader(data, s);
       stack.sfni = SnapshotAccess::decode_sfni(
           r, n, stack.hierarchy.get(), stack.naming.get(), stack.sf.get());
-      finish(r, s);
+      finish_section(r, s);
     }
   }
 
@@ -1080,20 +1332,38 @@ SnapshotStack decode_snapshot_impl(const std::uint8_t* data, std::size_t size) {
 }  // namespace
 
 SnapshotStack decode_snapshot(const std::uint8_t* data, std::size_t size) {
-  try {
-    return decode_snapshot_impl(data, size);
-  } catch (const SnapshotError&) {
-    throw;
-  } catch (const std::exception& e) {
-    // Any internal invariant tripping on corrupt bytes (codec underflow,
-    // tree-restore CR_CHECKs, allocation failure) surfaces as the typed
-    // loader error, never as a crash.
-    throw SnapshotError(std::string("corrupt snapshot: ") + e.what());
-  }
+  return as_snapshot_error([&] { return decode_snapshot_impl(data, size); });
 }
 
 SnapshotStack decode_snapshot(const std::vector<std::uint8_t>& bytes) {
   return decode_snapshot(bytes.data(), bytes.size());
+}
+
+ServingSnapshot restore_serving_snapshot(
+    const std::uint8_t* data, const std::vector<SnapshotSection>& sections) {
+  return as_snapshot_error([&] {
+    if (sections.size() != kNumSections) corrupt("incomplete section table");
+    const auto section = [&](std::uint32_t id) -> const SnapshotSection& {
+      return sections[section_index(id)];
+    };
+    ServingSnapshot serving;
+    const Meta meta = decode_meta(data, section(kSectionMeta));
+    serving.n = meta.n;
+    serving.epsilon = meta.epsilon;
+    serving.csr = CsrGraph(decode_graph(data, section(kSectionGraph), meta.n));
+    ArenaPayload parts[kNumArenaParts];
+    for (std::size_t p = 0; p < kNumArenaParts; ++p) {
+      const SnapshotSection& s = sections[kNumCompactSections + p];
+      parts[p] = {data + s.offset, static_cast<std::size_t>(s.size)};
+    }
+    serving.arena = restore_arena(parts, meta.n);
+    return serving;
+  });
+}
+
+ServingSnapshot restore_serving_snapshot(const std::uint8_t* data,
+                                         std::size_t size) {
+  return restore_serving_snapshot(data, snapshot_directory(data, size));
 }
 
 void write_snapshot_file(const std::string& path,

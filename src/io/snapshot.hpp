@@ -13,14 +13,18 @@
 // Container layout (DESIGN.md §8), all integers little-endian:
 //
 //   magic "CRSNAP01" (8 bytes)
-//   u32 format version (currently 1)
-//   u32 section count
+//   u32 format version (currently 2)
+//   u32 section count (13)
 //   u32 directory CRC32 (over the directory entries that follow)
 //   directory entries, 24 bytes each: u32 id, u64 offset, u64 size, u32 CRC32
 //   section payloads, concatenated in directory order
 //
-// Offsets are absolute; payloads must tile the rest of the file exactly, so
-// any truncation changes the file size and is rejected before parsing. Each
+// The directory lists exactly the section ids 1..13 in that order: the eight
+// bit-packed compact sections (meta, graph, hierarchy, naming, and the four
+// schemes), then the five persisted-arena sections (io/snapshot_arena.hpp)
+// the serving path restores without decoding any scheme. Offsets are
+// absolute; payloads must tile the rest of the file exactly, so any
+// truncation changes the file size and is rejected before parsing. Each
 // payload carries its own CRC32, so any bit flip is rejected too. Every
 // failure path throws the typed SnapshotError — never UB, never a crash.
 //
@@ -49,6 +53,15 @@ namespace compactroute {
 class SnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+};
+
+/// One directory entry, for diagnostics and the corruption battery.
+struct SnapshotSection {
+  std::uint32_t id = 0;
+  std::string name;
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+  std::uint32_t crc = 0;
 };
 
 /// A scheme stack restored from a snapshot. The schemes are fully functional
@@ -96,6 +109,9 @@ std::vector<std::uint8_t> encode_snapshot(
     const ScaleFreeNameIndependentScheme& sfni);
 
 /// Parses and validates a snapshot; throws SnapshotError on any defect.
+/// Decodes the compact sections (every scheme decoder runs; each bumps the
+/// `snapshot.scheme_decodes` counter); the arena sections are CRC-checked
+/// but not read.
 SnapshotStack decode_snapshot(const std::vector<std::uint8_t>& bytes);
 
 /// Borrowed-buffer form: decodes straight out of `[data, data + size)` with no
@@ -103,6 +119,26 @@ SnapshotStack decode_snapshot(const std::vector<std::uint8_t>& bytes);
 /// (io/snapshot_mmap.hpp). The buffer must stay alive and unchanged for the
 /// duration of the call only; the returned stack owns all of its storage.
 SnapshotStack decode_snapshot(const std::uint8_t* data, std::size_t size);
+
+/// What serving needs from a snapshot, restored without decoding any scheme
+/// section: the graph (for hop certification) and the persisted arena.
+struct ServingSnapshot {
+  std::size_t n = 0;
+  double epsilon = 0;
+  CsrGraph csr;
+  std::shared_ptr<const HopArena> arena;
+};
+
+/// The zero-decode serving restore over a directory already returned by
+/// snapshot_directory (which checked every section CRC): decodes meta and
+/// graph, copies the arena sections into fresh slabs, and bounds-validates
+/// every index-bearing slab. Throws SnapshotError on any defect.
+ServingSnapshot restore_serving_snapshot(
+    const std::uint8_t* data, const std::vector<SnapshotSection>& sections);
+
+/// snapshot_directory + restore_serving_snapshot.
+ServingSnapshot restore_serving_snapshot(const std::uint8_t* data,
+                                         std::size_t size);
 
 class BitWriter;
 
@@ -115,8 +151,12 @@ class BitWriter;
 /// Sections must be added in container order (meta, graph, hierarchy, naming,
 /// hier, scale-free, simple, sfni); a scheme passed as nullptr becomes a
 /// zero-length section, restored by decode_snapshot as an absent (null)
-/// scheme. The file carries a zeroed header until finish() patches the real
-/// directory in, so a crashed build never leaves a well-formed snapshot.
+/// scheme. Each scheme's arena rows are compiled (HopArenaCompiler) as its
+/// section is added, so the scheme may be freed right after; finish() writes
+/// the five arena sections from the compiled slabs. The hierarchy passed to
+/// add_hierarchy must stay alive until add_naming. The file carries a zeroed
+/// header until finish() patches the real directory in, so a crashed build
+/// never leaves a well-formed snapshot.
 class SnapshotStreamWriter {
  public:
   explicit SnapshotStreamWriter(const std::string& path);
@@ -142,8 +182,9 @@ class SnapshotStreamWriter {
   void add_simple_level(const std::vector<std::unique_ptr<SearchTree>>& trees);
   void end_simple();
 
-  /// Patches the header + directory over the placeholder and closes the
-  /// file; returns the total byte size. All 8 sections must have been added.
+  /// Writes the arena sections, patches the header + directory over the
+  /// placeholder and closes the file; returns the total byte size. All 8
+  /// compact sections must have been added.
   std::uint64_t finish();
 
  private:
@@ -153,17 +194,10 @@ class SnapshotStreamWriter {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One directory entry, for diagnostics and the corruption battery.
-struct SnapshotSection {
-  std::uint32_t id = 0;
-  std::string name;
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-  std::uint32_t crc = 0;
-};
 
-/// Validates the header and directory only (magic, version, directory CRC,
-/// exact size tiling) and returns the section table; throws SnapshotError.
+/// Validates the header and directory (magic, version, directory CRC, the
+/// canonical section-id list, exact size tiling) and every section CRC, and
+/// returns the section table; throws SnapshotError.
 std::vector<SnapshotSection> snapshot_directory(
     const std::vector<std::uint8_t>& bytes);
 
@@ -172,7 +206,20 @@ std::vector<SnapshotSection> snapshot_directory(const std::uint8_t* data,
                                                 std::size_t size);
 
 /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `size` bytes.
+/// Dispatches once per process to a PCLMULQDQ folding kernel when the CPU
+/// has one, else to slicing-by-8; both return identical values.
 std::uint32_t snapshot_crc32(const std::uint8_t* data, std::size_t size);
+
+/// Running CRC32: snapshot_crc32_extend(snapshot_crc32(a), b) equals
+/// snapshot_crc32(a followed by b); the CRC of nothing is 0.
+std::uint32_t snapshot_crc32_extend(std::uint32_t crc, const std::uint8_t* data,
+                                    std::size_t size);
+
+/// The kernels behind the dispatch, callable directly for equivalence tests.
+/// snapshot_crc32_clmul falls back to slicing-by-8 without PCLMULQDQ.
+std::uint32_t snapshot_crc32_slicing_by_8(const std::uint8_t* data,
+                                          std::size_t size);
+std::uint32_t snapshot_crc32_clmul(const std::uint8_t* data, std::size_t size);
 
 /// Whole-file IO helpers; both throw SnapshotError on filesystem failure.
 void write_snapshot_file(const std::string& path,

@@ -205,6 +205,326 @@ std::uint32_t ring_first_hit(const NodeId* lo, const NodeId* hi,
   return g_ring_find(lo, hi, begin, end, key);
 }
 
+struct HopArenaCompiler::State {
+  std::shared_ptr<HopArena> arena = std::make_shared<HopArena>();
+  std::vector<std::vector<NodeId>> nets;  // Y_0 .. Y_top
+  TreeScratch scratch;
+  int stage = 0;  // 0 start, 1 hier, 2 sf, 3 simple, 4 sfni (bank order)
+  int simple_next_level = 0;
+  bool finished = false;
+
+  int levels() const { return arena->top_level + 1; }
+
+  /// Advances the bank-order stage; each scheme may arrive once, in order.
+  void enter(int next) {
+    CR_CHECK_MSG(!finished, "HopArenaCompiler used after finish()");
+    CR_CHECK_MSG(stage < next, "schemes must be compiled in bank order");
+    stage = next;
+  }
+};
+
+HopArenaCompiler::HopArenaCompiler(const NetHierarchy& hierarchy,
+                                   const Naming* naming)
+    : state_(std::make_unique<State>()) {
+  HopArena& a = *state_->arena;
+  const std::size_t n = hierarchy.net(0).size();  // Y_0 = V
+  const int top = hierarchy.top_level();
+  a.n = n;
+  a.top_level = top;
+  a.leaf_label.resize(n);
+  for (NodeId v = 0; v < n; ++v) a.leaf_label[v] = hierarchy.leaf_label(v);
+  if (naming != nullptr) {
+    a.name_of.resize(n);
+    for (NodeId v = 0; v < n; ++v) a.name_of[v] = naming->name_of(v);
+  }
+  a.net_parent.assign(static_cast<std::size_t>(top + 1) * n, kInvalidNode);
+  state_->nets.resize(top + 1);
+  for (int level = 0; level <= top; ++level) {
+    state_->nets[level] = hierarchy.net(level);
+    for (const NodeId x : hierarchy.net(level)) {
+      a.net_parent[static_cast<std::size_t>(level) * n + x] =
+          hierarchy.netting_parent(level, x);
+    }
+  }
+}
+
+HopArenaCompiler::~HopArenaCompiler() = default;
+
+void HopArenaCompiler::add_hier(const HierarchicalLabeledScheme& scheme) {
+  state_->enter(1);
+  HopArena& a = *state_->arena;
+  const std::size_t n = a.n;
+  const int levels = state_->levels();
+  a.hier_present = true;
+  HopArena::RingSlab& r = a.hier;
+  r.levels = levels;
+  r.level_off.resize(n * static_cast<std::size_t>(levels) + 1);
+  std::size_t entries = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto& rings = scheme.rings(u);
+    for (int level = 0; level < levels; ++level) {
+      r.level_off[u * static_cast<std::size_t>(levels) + level] =
+          static_cast<std::uint32_t>(entries);
+      entries += rings[level].size();
+    }
+  }
+  r.level_off.back() = static_cast<std::uint32_t>(entries);
+  r.lo.reserve(entries + kRingScanPad);
+  r.hi.reserve(entries + kRingScanPad);
+  r.next.reserve(entries);
+  r.x.reserve(entries);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const auto& level : scheme.rings(u)) {
+      for (const auto& entry : level) {
+        r.lo.push_back(entry.range.lo);
+        r.hi.push_back(entry.range.hi);
+        r.next.push_back(entry.next_hop);
+        r.x.push_back(entry.x);
+      }
+    }
+  }
+  pad_ring_rows(r.lo, r.hi);
+}
+
+void HopArenaCompiler::add_sf(const ScaleFreeLabeledScheme& sf_scheme) {
+  state_->enter(2);
+  HopArena& a = *state_->arena;
+  const std::size_t n = a.n;
+  const int levels = state_->levels();
+  const std::size_t trees_before = a.trees.root_global.size();
+  a.sf_present = true;
+  HopArena::SfSlab& s = a.sf;
+  const int max_exp = sf_scheme.max_exponent();
+  s.max_exponent = max_exp;
+
+  // Rings over the sparse level sets.
+  s.node_off.resize(n + 1);
+  std::size_t entries = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    s.node_off[u] = static_cast<std::uint32_t>(entries);
+    for (const auto& ring : sf_scheme.rings(u)) entries += ring.size();
+  }
+  s.node_off[n] = static_cast<std::uint32_t>(entries);
+  s.lo.reserve(entries + kRingScanPad);
+  s.hi.reserve(entries + kRingScanPad);
+  s.next.reserve(entries);
+  s.x.reserve(entries);
+  s.dist.reserve(entries);
+  s.level.reserve(entries);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto& level_set = sf_scheme.level_set(u);
+    const auto& rings = sf_scheme.rings(u);
+    for (std::size_t k = 0; k < level_set.size(); ++k) {
+      for (const auto& entry : rings[k]) {
+        s.lo.push_back(entry.range.lo);
+        s.hi.push_back(entry.range.hi);
+        s.next.push_back(entry.next_hop);
+        s.x.push_back(entry.x);
+        s.dist.push_back(entry.dist_x);
+        s.level.push_back(static_cast<std::int16_t>(level_set[k]));
+      }
+    }
+  }
+  pad_ring_rows(s.lo, s.hi);
+
+  s.radius.resize(levels);
+  s.walk_threshold.resize(levels);
+  for (int level = 0; level < levels; ++level) {
+    s.radius[level] = level_radius(level);
+    // The reference expression, verbatim, for bit-identical comparisons.
+    s.walk_threshold[level] =
+        level_radius(level) / (2 * sf_scheme.epsilon()) - level_radius(level);
+  }
+
+  s.size_radius.resize(n * static_cast<std::size_t>(max_exp + 1));
+  for (NodeId u = 0; u < n; ++u) {
+    for (int j = 0; j <= max_exp; ++j) {
+      s.size_radius[u * static_cast<std::size_t>(max_exp + 1) + j] =
+          sf_scheme.size_radius(j, u);
+    }
+  }
+
+  // Flattened regions: rid = region_base[j] + ball index.
+  std::vector<std::uint32_t> region_base(max_exp + 2, 0);
+  for (int j = 0; j <= max_exp; ++j) {
+    region_base[j + 1] =
+        region_base[j] +
+        static_cast<std::uint32_t>(sf_scheme.regions(j).size());
+  }
+  const std::size_t num_regions = region_base[max_exp + 1];
+
+  s.region_id.resize(static_cast<std::size_t>(max_exp + 1) * n);
+  s.region_local.resize(static_cast<std::size_t>(max_exp + 1) * n);
+  for (int j = 0; j <= max_exp; ++j) {
+    for (NodeId u = 0; u < n; ++u) {
+      const std::size_t slot = static_cast<std::size_t>(j) * n + u;
+      s.region_id[slot] = static_cast<std::int32_t>(
+          region_base[j] + sf_scheme.region_index(j, u));
+      const int local = sf_scheme.region_of(j, u).tree->local_id(u);
+      CR_CHECK(local >= 0);
+      s.region_local[slot] = local;
+    }
+  }
+
+  s.center.resize(num_regions);
+  s.search_tree.resize(num_regions);
+  s.rt_base.resize(num_regions + 1);
+  s.rt_base[0] = 0;
+  s.rt_child_off.push_back(0);
+  s.rt_light_off.push_back(0);
+  std::size_t rid = 0;
+  for (int j = 0; j <= max_exp; ++j) {
+    for (const auto& region : sf_scheme.regions(j)) {
+      const RootedTree& tree = *region.tree;
+      const CompactTreeRouter& router = *region.router;
+      const std::size_t m = tree.size();
+      s.center[rid] = region.center;
+      s.search_tree[rid] = add_tree(a.trees, *region.search, state_->scratch);
+      for (std::size_t local = 0; local < m; ++local) {
+        const int l = static_cast<int>(local);
+        s.rt_global.push_back(tree.global_id(l));
+        const int parent = tree.parent(l);
+        s.rt_parent_global.push_back(parent < 0 ? kInvalidNode
+                                                : tree.global_id(parent));
+        s.rt_dfs_in.push_back(router.dfs_in(l));
+        s.rt_dfs_out.push_back(router.dfs_out(l));
+        const int heavy = router.heavy_child(l);
+        if (heavy >= 0) {
+          s.rt_heavy_global.push_back(tree.global_id(heavy));
+          s.rt_heavy_in.push_back(router.dfs_in(heavy));
+          s.rt_heavy_out.push_back(router.dfs_out(heavy));
+        } else {
+          s.rt_heavy_global.push_back(kInvalidNode);
+          s.rt_heavy_in.push_back(1);
+          s.rt_heavy_out.push_back(0);
+        }
+        for (const int child : tree.children(l)) {
+          s.rt_child_global.push_back(tree.global_id(child));
+        }
+        s.rt_child_off.push_back(
+            static_cast<std::uint32_t>(s.rt_child_global.size()));
+        for (const auto& [anchor, port] : router.label(l).light_edges) {
+          s.rt_light_anchor.push_back(anchor);
+          s.rt_light_port.push_back(port);
+        }
+        s.rt_light_off.push_back(
+            static_cast<std::uint32_t>(s.rt_light_anchor.size()));
+      }
+      s.rt_base[rid + 1] = static_cast<std::uint32_t>(s.rt_global.size());
+      ++rid;
+    }
+  }
+  CR_CHECK(rid == num_regions);
+
+  s.chain_off.resize(n + 1);
+  std::size_t chain_entries = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    s.chain_off[u] = static_cast<std::uint32_t>(chain_entries);
+    chain_entries += sf_scheme.chains(u).size();
+  }
+  s.chain_off[n] = static_cast<std::uint32_t>(chain_entries);
+  s.chain_target.reserve(chain_entries);
+  s.chain_hop.reserve(chain_entries);
+  for (NodeId u = 0; u < n; ++u) {
+    for (const auto& [target, next] : sf_scheme.chains(u)) {
+      s.chain_target.push_back(target);
+      s.chain_hop.push_back(next);
+    }
+  }
+
+  for (const auto& region : sf_scheme.regions(max_exp)) {
+    s.top_peer.push_back(region.center);
+  }
+  a.sf_trees =
+      static_cast<std::uint32_t>(a.trees.root_global.size() - trees_before);
+}
+
+void HopArenaCompiler::add_simple_level(
+    int level, const std::vector<std::unique_ptr<SearchTree>>& trees) {
+  State& st = *state_;
+  if (level == 0) st.enter(3);
+  CR_CHECK_MSG(st.stage == 3 && !st.finished && level == st.simple_next_level &&
+                   level < st.levels(),
+               "simple NI levels must arrive in order 0..top");
+  HopArena& a = *st.arena;
+  const std::size_t n = a.n;
+  if (level == 0) {
+    a.simple_present = true;
+    a.simple_tree_of.assign(static_cast<std::size_t>(st.levels()) * n, -1);
+  }
+  const std::vector<NodeId>& net = st.nets[level];
+  CR_CHECK(trees.size() == net.size());
+  for (std::size_t k = 0; k < net.size(); ++k) {
+    a.simple_tree_of[static_cast<std::size_t>(level) * n + net[k]] =
+        add_tree(a.trees, *trees[k], st.scratch);
+  }
+  a.simple_trees += static_cast<std::uint32_t>(net.size());
+  ++st.simple_next_level;
+}
+
+void HopArenaCompiler::add_simple(const SimpleNameIndependentScheme& scheme) {
+  State& st = *state_;
+  st.enter(3);
+  HopArena& a = *st.arena;
+  const std::size_t n = a.n;
+  a.simple_present = true;
+  a.simple_tree_of.assign(static_cast<std::size_t>(st.levels()) * n, -1);
+  for (int level = 0; level < st.levels(); ++level) {
+    for (const NodeId anchor : st.nets[level]) {
+      a.simple_tree_of[static_cast<std::size_t>(level) * n + anchor] =
+          add_tree(a.trees, scheme.level_tree(level, anchor), st.scratch);
+    }
+    a.simple_trees += static_cast<std::uint32_t>(st.nets[level].size());
+  }
+  st.simple_next_level = st.levels();
+}
+
+void HopArenaCompiler::add_sfni(const ScaleFreeNameIndependentScheme& scheme) {
+  State& st = *state_;
+  CR_CHECK_MSG(st.stage != 3 || st.simple_next_level == st.levels(),
+               "every simple NI level must be compiled before sfni");
+  st.enter(4);
+  HopArena& a = *st.arena;
+  const std::size_t n = a.n;
+  const std::size_t trees_before = a.trees.root_global.size();
+  a.sfni_present = true;
+  a.sfni_tree_of.assign(static_cast<std::size_t>(st.levels()) * n, -1);
+  a.sfni_root.assign(static_cast<std::size_t>(st.levels()) * n, kInvalidNode);
+  // Delegated levels share packed-ball trees; dedup by identity.
+  std::unordered_map<const SearchTree*, std::int32_t> seen;
+  for (int level = 0; level < st.levels(); ++level) {
+    for (const NodeId anchor : st.nets[level]) {
+      NodeId root = kInvalidNode;
+      const SearchTree& tree = scheme.search_structure(level, anchor, &root);
+      auto [it, inserted] = seen.try_emplace(&tree, -1);
+      if (inserted) it->second = add_tree(a.trees, tree, st.scratch);
+      const std::size_t slot = static_cast<std::size_t>(level) * n + anchor;
+      a.sfni_tree_of[slot] = it->second;
+      a.sfni_root[slot] = root;
+    }
+  }
+  a.sfni_trees =
+      static_cast<std::uint32_t>(a.trees.root_global.size() - trees_before);
+}
+
+std::shared_ptr<HopArena> HopArenaCompiler::finish() {
+  State& st = *state_;
+  CR_CHECK_MSG(!st.finished, "finish() called twice");
+  CR_CHECK_MSG(st.stage != 3 || st.simple_next_level == st.levels(),
+               "finish() before every simple NI level was compiled");
+  st.finished = true;
+  HopArena& a = *st.arena;
+  if (!a.simple_present && !a.sfni_present) Slab<NodeId>().swap(a.net_parent);
+  if (a.trees.root_global.empty()) {
+    a.trees.node_base.push_back(0);
+    a.trees.lookup_off.push_back(0);
+    a.trees.child_off.push_back(0);
+    a.trees.chunk_off.push_back(0);
+  }
+  CR_OBS_ADD("arena.bytes", a.memory_bytes());
+  return std::move(st.arena);
+}
+
 std::shared_ptr<const HopArena> HopArena::build(
     const NetHierarchy& hierarchy, const Naming* naming,
     const HierarchicalLabeledScheme* hier_scheme,
@@ -219,249 +539,13 @@ std::shared_ptr<const HopArena> HopArena::build(
   CR_CHECK_MSG(!(simple_scheme || sfni_scheme) || naming,
                "name-independent serving needs the naming");
 
-  auto arena = std::make_shared<HopArena>();
-  HopArena& a = *arena;
-  TreeScratch scratch;
-  const std::size_t n = hierarchy.net(0).size();  // Y_0 = V
-  const int top = hierarchy.top_level();
-  const int levels = top + 1;
-  a.n = n;
-  a.top_level = top;
-  a.hier_present = hier_scheme != nullptr;
-  a.sf_present = sf_scheme != nullptr;
-  a.simple_present = simple_scheme != nullptr;
-  a.sfni_present = sfni_scheme != nullptr;
-
-  a.leaf_label.resize(n);
-  for (NodeId v = 0; v < n; ++v) a.leaf_label[v] = hierarchy.leaf_label(v);
-  if (naming != nullptr) {
-    a.name_of.resize(n);
-    for (NodeId v = 0; v < n; ++v) a.name_of[v] = naming->name_of(v);
-  }
-  if (simple_scheme != nullptr || sfni_scheme != nullptr) {
-    a.net_parent.assign(static_cast<std::size_t>(levels) * n, kInvalidNode);
-    for (int level = 0; level <= top; ++level) {
-      for (const NodeId x : hierarchy.net(level)) {
-        a.net_parent[static_cast<std::size_t>(level) * n + x] =
-            hierarchy.netting_parent(level, x);
-      }
-    }
-  }
-
-  if (hier_scheme != nullptr) {
-    RingSlab& r = a.hier;
-    r.levels = levels;
-    r.level_off.resize(n * static_cast<std::size_t>(levels) + 1);
-    std::size_t entries = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      const auto& rings = hier_scheme->rings(u);
-      for (int level = 0; level < levels; ++level) {
-        r.level_off[u * static_cast<std::size_t>(levels) + level] =
-            static_cast<std::uint32_t>(entries);
-        entries += rings[level].size();
-      }
-    }
-    r.level_off.back() = static_cast<std::uint32_t>(entries);
-    r.lo.reserve(entries + kRingScanPad);
-    r.hi.reserve(entries + kRingScanPad);
-    r.next.reserve(entries);
-    r.x.reserve(entries);
-    for (NodeId u = 0; u < n; ++u) {
-      for (const auto& level : hier_scheme->rings(u)) {
-        for (const auto& entry : level) {
-          r.lo.push_back(entry.range.lo);
-          r.hi.push_back(entry.range.hi);
-          r.next.push_back(entry.next_hop);
-          r.x.push_back(entry.x);
-        }
-      }
-    }
-    pad_ring_rows(r.lo, r.hi);
-  }
-
-  if (sf_scheme != nullptr) {
-    SfSlab& s = a.sf;
-    const int max_exp = sf_scheme->max_exponent();
-    s.max_exponent = max_exp;
-
-    // Rings over the sparse level sets.
-    s.node_off.resize(n + 1);
-    std::size_t entries = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      s.node_off[u] = static_cast<std::uint32_t>(entries);
-      for (const auto& ring : sf_scheme->rings(u)) entries += ring.size();
-    }
-    s.node_off[n] = static_cast<std::uint32_t>(entries);
-    s.lo.reserve(entries + kRingScanPad);
-    s.hi.reserve(entries + kRingScanPad);
-    s.next.reserve(entries);
-    s.x.reserve(entries);
-    s.dist.reserve(entries);
-    s.level.reserve(entries);
-    for (NodeId u = 0; u < n; ++u) {
-      const auto& level_set = sf_scheme->level_set(u);
-      const auto& rings = sf_scheme->rings(u);
-      for (std::size_t k = 0; k < level_set.size(); ++k) {
-        for (const auto& entry : rings[k]) {
-          s.lo.push_back(entry.range.lo);
-          s.hi.push_back(entry.range.hi);
-          s.next.push_back(entry.next_hop);
-          s.x.push_back(entry.x);
-          s.dist.push_back(entry.dist_x);
-          s.level.push_back(static_cast<std::int16_t>(level_set[k]));
-        }
-      }
-    }
-    pad_ring_rows(s.lo, s.hi);
-
-    s.radius.resize(levels);
-    s.walk_threshold.resize(levels);
-    for (int level = 0; level < levels; ++level) {
-      s.radius[level] = level_radius(level);
-      // The reference expression, verbatim, for bit-identical comparisons.
-      s.walk_threshold[level] =
-          level_radius(level) / (2 * sf_scheme->epsilon()) - level_radius(level);
-    }
-
-    s.size_radius.resize(n * static_cast<std::size_t>(max_exp + 1));
-    for (NodeId u = 0; u < n; ++u) {
-      for (int j = 0; j <= max_exp; ++j) {
-        s.size_radius[u * static_cast<std::size_t>(max_exp + 1) + j] =
-            sf_scheme->size_radius(j, u);
-      }
-    }
-
-    // Flattened regions: rid = region_base[j] + ball index.
-    std::vector<std::uint32_t> region_base(max_exp + 2, 0);
-    for (int j = 0; j <= max_exp; ++j) {
-      region_base[j + 1] =
-          region_base[j] +
-          static_cast<std::uint32_t>(sf_scheme->regions(j).size());
-    }
-    const std::size_t num_regions = region_base[max_exp + 1];
-
-    s.region_id.resize(static_cast<std::size_t>(max_exp + 1) * n);
-    s.region_local.resize(static_cast<std::size_t>(max_exp + 1) * n);
-    for (int j = 0; j <= max_exp; ++j) {
-      for (NodeId u = 0; u < n; ++u) {
-        const std::size_t slot = static_cast<std::size_t>(j) * n + u;
-        s.region_id[slot] = static_cast<std::int32_t>(
-            region_base[j] + sf_scheme->region_index(j, u));
-        const int local = sf_scheme->region_of(j, u).tree->local_id(u);
-        CR_CHECK(local >= 0);
-        s.region_local[slot] = local;
-      }
-    }
-
-    s.center.resize(num_regions);
-    s.search_tree.resize(num_regions);
-    s.rt_base.resize(num_regions + 1);
-    s.rt_base[0] = 0;
-    s.rt_child_off.push_back(0);
-    s.rt_light_off.push_back(0);
-    std::size_t rid = 0;
-    for (int j = 0; j <= max_exp; ++j) {
-      for (const auto& region : sf_scheme->regions(j)) {
-        const RootedTree& tree = *region.tree;
-        const CompactTreeRouter& router = *region.router;
-        const std::size_t m = tree.size();
-        s.center[rid] = region.center;
-        s.search_tree[rid] = add_tree(a.trees, *region.search, scratch);
-        for (std::size_t local = 0; local < m; ++local) {
-          const int l = static_cast<int>(local);
-          s.rt_global.push_back(tree.global_id(l));
-          const int parent = tree.parent(l);
-          s.rt_parent_global.push_back(parent < 0 ? kInvalidNode
-                                                  : tree.global_id(parent));
-          s.rt_dfs_in.push_back(router.dfs_in(l));
-          s.rt_dfs_out.push_back(router.dfs_out(l));
-          const int heavy = router.heavy_child(l);
-          if (heavy >= 0) {
-            s.rt_heavy_global.push_back(tree.global_id(heavy));
-            s.rt_heavy_in.push_back(router.dfs_in(heavy));
-            s.rt_heavy_out.push_back(router.dfs_out(heavy));
-          } else {
-            s.rt_heavy_global.push_back(kInvalidNode);
-            s.rt_heavy_in.push_back(1);
-            s.rt_heavy_out.push_back(0);
-          }
-          for (const int child : tree.children(l)) {
-            s.rt_child_global.push_back(tree.global_id(child));
-          }
-          s.rt_child_off.push_back(
-              static_cast<std::uint32_t>(s.rt_child_global.size()));
-          for (const auto& [anchor, port] : router.label(l).light_edges) {
-            s.rt_light_anchor.push_back(anchor);
-            s.rt_light_port.push_back(port);
-          }
-          s.rt_light_off.push_back(
-              static_cast<std::uint32_t>(s.rt_light_anchor.size()));
-        }
-        s.rt_base[rid + 1] = static_cast<std::uint32_t>(s.rt_global.size());
-        ++rid;
-      }
-    }
-    CR_CHECK(rid == num_regions);
-
-    s.chain_off.resize(n + 1);
-    std::size_t chain_entries = 0;
-    for (NodeId u = 0; u < n; ++u) {
-      s.chain_off[u] = static_cast<std::uint32_t>(chain_entries);
-      chain_entries += sf_scheme->chains(u).size();
-    }
-    s.chain_off[n] = static_cast<std::uint32_t>(chain_entries);
-    s.chain_target.reserve(chain_entries);
-    s.chain_hop.reserve(chain_entries);
-    for (NodeId u = 0; u < n; ++u) {
-      for (const auto& [target, next] : sf_scheme->chains(u)) {
-        s.chain_target.push_back(target);
-        s.chain_hop.push_back(next);
-      }
-    }
-
-    for (const auto& region : sf_scheme->regions(max_exp)) {
-      s.top_peer.push_back(region.center);
-    }
-  }
-
-  if (simple_scheme != nullptr) {
-    a.simple_tree_of.assign(static_cast<std::size_t>(levels) * n, -1);
-    for (int level = 0; level <= top; ++level) {
-      for (const NodeId anchor : hierarchy.net(level)) {
-        a.simple_tree_of[static_cast<std::size_t>(level) * n + anchor] = add_tree(
-            a.trees, simple_scheme->level_tree(level, anchor), scratch);
-      }
-    }
-  }
-
-  if (sfni_scheme != nullptr) {
-    a.sfni_tree_of.assign(static_cast<std::size_t>(levels) * n, -1);
-    a.sfni_root.assign(static_cast<std::size_t>(levels) * n, kInvalidNode);
-    // Delegated levels share packed-ball trees; dedup by identity.
-    std::unordered_map<const SearchTree*, std::int32_t> seen;
-    for (int level = 0; level <= top; ++level) {
-      for (const NodeId anchor : hierarchy.net(level)) {
-        NodeId root = kInvalidNode;
-        const SearchTree& st =
-            sfni_scheme->search_structure(level, anchor, &root);
-        auto [it, inserted] = seen.try_emplace(&st, -1);
-        if (inserted) it->second = add_tree(a.trees, st, scratch);
-        const std::size_t slot = static_cast<std::size_t>(level) * n + anchor;
-        a.sfni_tree_of[slot] = it->second;
-        a.sfni_root[slot] = root;
-      }
-    }
-  }
-
-  if (a.trees.root_global.empty()) {
-    a.trees.node_base.push_back(0);
-    a.trees.lookup_off.push_back(0);
-    a.trees.child_off.push_back(0);
-    a.trees.chunk_off.push_back(0);
-  }
-
-  CR_OBS_ADD("arena.bytes", a.memory_bytes());
-  a.advise_hot();
+  HopArenaCompiler compiler(hierarchy, naming);
+  if (hier_scheme != nullptr) compiler.add_hier(*hier_scheme);
+  if (sf_scheme != nullptr) compiler.add_sf(*sf_scheme);
+  if (simple_scheme != nullptr) compiler.add_simple(*simple_scheme);
+  if (sfni_scheme != nullptr) compiler.add_sfni(*sfni_scheme);
+  std::shared_ptr<HopArena> arena = compiler.finish();
+  arena->advise_hot();
   return arena;
 }
 

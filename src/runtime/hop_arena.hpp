@@ -23,6 +23,11 @@
 // byte-identical routes to the reference (nested-vector) runtimes — enforced
 // by the golden fingerprint suite in tests/test_hop_arena.cpp.
 //
+// The slabs are also a persisted format: snapshots (format v2) store them in
+// their arena sections (io/snapshot_arena.hpp), and an epoch load restores
+// them without compiling anything, so a slab's element type, order and
+// meaning are part of the snapshot format.
+//
 // Layout invariants (DESIGN.md §11): every slab is 64-byte aligned; ring
 // entries are level-ascending within a node (first containment hit ==
 // minimal-level hit); tree nodes are packed in the preorder used by
@@ -47,6 +52,7 @@ class HierarchicalLabeledScheme;
 class ScaleFreeLabeledScheme;
 class SimpleNameIndependentScheme;
 class ScaleFreeNameIndependentScheme;
+class SearchTree;
 
 /// Prefetch hint for the next hop's slab rows (no-op off GCC/Clang).
 #if defined(__GNUC__) || defined(__clang__)
@@ -102,7 +108,8 @@ class HopArena {
   /// Compiles the arena for whichever schemes are present (null = absent).
   /// `simple` requires `hier`; `sfni` requires `sf`; the NI schemes require
   /// `naming`. Works for snapshot-loaded stacks: only query-time tables are
-  /// read, never the metric backend.
+  /// read, never the metric backend. This is HopArenaCompiler run over the
+  /// whole stack.
   static std::shared_ptr<const HopArena> build(
       const NetHierarchy& hierarchy, const Naming* naming,
       const HierarchicalLabeledScheme* hier, const ScaleFreeLabeledScheme* sf,
@@ -115,6 +122,14 @@ class HopArena {
   bool sf_present = false;
   bool simple_present = false;
   bool sfni_present = false;
+
+  // Trees each scheme appended to the shared bank, in bank order: the
+  // scale-free regions' search trees first, then the simple NI level trees,
+  // then the scale-free NI structures. The snapshot persists each scheme's
+  // bank rows in its own section (io/snapshot_arena.hpp).
+  std::uint32_t sf_trees = 0;
+  std::uint32_t simple_trees = 0;
+  std::uint32_t sfni_trees = 0;
 
   // ---- flat node tables ----
   Slab<NodeId> leaf_label;       // [n] netting-tree DFS leaf label l(v)
@@ -254,6 +269,43 @@ class HopArena {
   /// rather than faulting down the serve path. Called by build(); a no-op off
   /// Linux. Purely advisory: failures are ignored.
   void advise_hot() const;
+};
+
+/// Incremental HopArena compile: each scheme's rows are appended as the
+/// scheme becomes available, so a streaming snapshot writer can compile a
+/// scheme and free it before the next one is built. Schemes must arrive in
+/// bank order — hier, sf, simple (whole or level by level), sfni — each at
+/// most once. Unlike HopArena::build, the compiler does not require a
+/// scheme's dependency to be present: it compiles what it is given, and the
+/// snapshot loader rejects an unserveable combination.
+class HopArenaCompiler {
+ public:
+  /// Copies what the later scheme additions need from `hierarchy` (leaf
+  /// labels, nets, netting parents) and `naming` (names; null = absent), so
+  /// neither has to outlive the compiler.
+  HopArenaCompiler(const NetHierarchy& hierarchy, const Naming* naming);
+  ~HopArenaCompiler();
+  HopArenaCompiler(const HopArenaCompiler&) = delete;
+  HopArenaCompiler& operator=(const HopArenaCompiler&) = delete;
+
+  void add_hier(const HierarchicalLabeledScheme& scheme);
+  void add_sf(const ScaleFreeLabeledScheme& scheme);
+  void add_simple(const SimpleNameIndependentScheme& scheme);
+  /// One level of simple NI search trees, trees[k] anchored at the k-th
+  /// point of the level's net (SimpleNameIndependentScheme::build_levels
+  /// order). Levels must arrive in order 0..top.
+  void add_simple_level(int level,
+                        const std::vector<std::unique_ptr<SearchTree>>& trees);
+  void add_sfni(const ScaleFreeNameIndependentScheme& scheme);
+
+  /// Closes the tree bank and returns the arena (the compiler is spent).
+  /// netting parents ride along only when a name-independent scheme is
+  /// present, exactly as HopArena::build lays them out.
+  std::shared_ptr<HopArena> finish();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
 };
 
 inline std::uint32_t HopArena::TreeBank::locate(std::int32_t t,

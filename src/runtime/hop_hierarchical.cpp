@@ -18,7 +18,13 @@ HierarchicalHopScheme::HierarchicalHopScheme(
 HierarchicalHopScheme::HierarchicalHopScheme(
     const HierarchicalLabeledScheme& scheme,
     std::shared_ptr<const HopArena> arena)
-    : scheme_(&scheme), arena_(std::move(arena)) {
+    : HierarchicalHopScheme(std::move(arena)) {
+  scheme_ = &scheme;
+}
+
+HierarchicalHopScheme::HierarchicalHopScheme(
+    std::shared_ptr<const HopArena> arena)
+    : scheme_(nullptr), arena_(std::move(arena)) {
   CR_CHECK(arena_ && arena_->hier_present);
 }
 

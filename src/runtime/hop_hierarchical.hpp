@@ -24,6 +24,8 @@ class HierarchicalHopScheme final : public HopScheme {
   /// Steps against a shared prebuilt arena (must carry the hier slab).
   HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme,
                         std::shared_ptr<const HopArena> arena);
+  /// Arena only — no scheme object at all (a snapshot-restored epoch).
+  explicit HierarchicalHopScheme(std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/labeled-hierarchical"; }
 

@@ -18,7 +18,12 @@ ScaleFreeHopScheme::ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
 
 ScaleFreeHopScheme::ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
                                        std::shared_ptr<const HopArena> arena)
-    : scheme_(&scheme), arena_(std::move(arena)) {
+    : ScaleFreeHopScheme(std::move(arena)) {
+  scheme_ = &scheme;
+}
+
+ScaleFreeHopScheme::ScaleFreeHopScheme(std::shared_ptr<const HopArena> arena)
+    : scheme_(nullptr), arena_(std::move(arena)) {
   CR_CHECK(arena_ && arena_->sf_present);
 }
 

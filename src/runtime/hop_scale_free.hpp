@@ -39,6 +39,8 @@ class ScaleFreeHopScheme final : public HopScheme {
   /// Shared prebuilt arena (must carry the scale-free slab).
   ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
                      std::shared_ptr<const HopArena> arena);
+  /// Arena only — no scheme object at all (a snapshot-restored epoch).
+  explicit ScaleFreeHopScheme(std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/labeled-scale-free"; }
 

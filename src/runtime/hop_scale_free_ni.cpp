@@ -22,11 +22,19 @@ ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
     const ScaleFreeNameIndependentScheme& scheme,
     const ScaleFreeLabeledScheme& underlying,
     std::shared_ptr<const HopArena> arena)
-    : scheme_(&scheme),
-      underlying_(&underlying),
+    : ScaleFreeNameIndependentHopScheme(std::move(arena)) {
+  scheme_ = &scheme;
+  underlying_ = &underlying;
+}
+
+ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
+    std::shared_ptr<const HopArena> arena)
+    : scheme_(nullptr),
+      underlying_(nullptr),
       arena_(std::move(arena)),
-      inner_(underlying, arena_) {
+      inner_(arena_) {
   CR_CHECK(arena_ && arena_->sf_present && arena_->sfni_present);
+  CR_CHECK(arena_->name_of.size() == arena_->n);
 }
 
 HopHeader ScaleFreeNameIndependentHopScheme::make_header(

@@ -49,6 +49,9 @@ class ScaleFreeNameIndependentHopScheme final : public HopScheme {
   ScaleFreeNameIndependentHopScheme(const ScaleFreeNameIndependentScheme& scheme,
                                     const ScaleFreeLabeledScheme& underlying,
                                     std::shared_ptr<const HopArena> arena);
+  /// Arena only — no scheme object at all (a snapshot-restored epoch).
+  explicit ScaleFreeNameIndependentHopScheme(
+      std::shared_ptr<const HopArena> arena);
 
   std::string name() const override {
     return "hop/name-independent-scale-free";

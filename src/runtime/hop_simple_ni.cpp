@@ -20,8 +20,16 @@ SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
     const SimpleNameIndependentScheme& scheme,
     const HierarchicalLabeledScheme& underlying,
     std::shared_ptr<const HopArena> arena)
-    : scheme_(&scheme), underlying_(&underlying), arena_(std::move(arena)) {
+    : SimpleNameIndependentHopScheme(std::move(arena)) {
+  scheme_ = &scheme;
+  underlying_ = &underlying;
+}
+
+SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
+    std::shared_ptr<const HopArena> arena)
+    : scheme_(nullptr), underlying_(nullptr), arena_(std::move(arena)) {
   CR_CHECK(arena_ && arena_->hier_present && arena_->simple_present);
+  CR_CHECK(arena_->name_of.size() == arena_->n);
 }
 
 HopHeader SimpleNameIndependentHopScheme::make_header(
@@ -30,7 +38,8 @@ HopHeader SimpleNameIndependentHopScheme::make_header(
   header.dest = dest_key;
   header.level = 0;
   header.aux = src;  // u(0) = the source itself
-  header.inner = underlying_->label(src);
+  header.inner = arena_ ? std::uint64_t{arena_->leaf_label[src]}
+                        : underlying_->label(src);
   header.inner_phase = kAtAnchor;
   return header;
 }

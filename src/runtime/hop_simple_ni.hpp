@@ -39,6 +39,8 @@ class SimpleNameIndependentHopScheme final : public HopScheme {
   SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& scheme,
                                  const HierarchicalLabeledScheme& underlying,
                                  std::shared_ptr<const HopArena> arena);
+  /// Arena only — no scheme object at all (a snapshot-restored epoch).
+  explicit SimpleNameIndependentHopScheme(std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/name-independent-simple"; }
 

@@ -237,6 +237,7 @@ void preregister_serving_metrics() {
   (void)shard.counter("serve.queue.enqueued");
   (void)shard.counter("serve.queue.shed");
   (void)shard.counter("serve.epoch.swaps");
+  (void)shard.counter("snapshot.scheme_decodes");
   (void)shard.log_histogram("serve.latency_us", 1e-2, 1e7, 16);
   (void)shard.log_histogram("serve.route_hops", 1.0, 65536.0, 4);
 #endif

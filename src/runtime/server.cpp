@@ -6,9 +6,8 @@
 #include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "core/prng.hpp"
-#include "nets/rnet.hpp"
 #include "obs/metrics.hpp"
-#include "routing/naming.hpp"
+#include "obs/spans.hpp"
 #include "runtime/hop_hierarchical.hpp"
 #include "runtime/hop_scale_free.hpp"
 #include "runtime/hop_scale_free_ni.hpp"
@@ -79,56 +78,97 @@ std::shared_ptr<ServerEpoch> ServerEpoch::load(const std::string& path,
   epoch->id_ = id;
 
   const auto t0 = Clock::now();
+  const std::uint8_t* data = nullptr;
+  std::size_t size = 0;
   if (use_mmap) {
     epoch->mapping_.emplace(path);
-    epoch->load_info_.file_bytes = epoch->mapping_->size();
-    epoch->stack_ = epoch->mapping_->decode();
+    data = epoch->mapping_->data();
+    size = epoch->mapping_->size();
   } else {
-    const std::vector<std::uint8_t> bytes = read_snapshot_file(path);
-    epoch->load_info_.file_bytes = bytes.size();
-    epoch->stack_ = decode_snapshot(bytes);
+    epoch->bytes_ = read_snapshot_file(path);
+    data = epoch->bytes_.data();
+    size = epoch->bytes_.size();
+  }
+  std::vector<SnapshotSection> sections;
+  {
+    CR_OBS_SPAN("load.verify", "io");
+    sections = snapshot_directory(data, size);
   }
   const auto t1 = Clock::now();
   epoch->load_info_.used_mmap = use_mmap;
+  epoch->load_info_.file_bytes = size;
   epoch->load_info_.load_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
 
-  epoch->compile();
+  {
+    CR_OBS_SPAN("load.restore", "runtime");
+    ServingSnapshot serving = restore_serving_snapshot(data, sections);
+    epoch->n_ = serving.n;
+    epoch->epsilon_ = serving.epsilon;
+    epoch->csr_ = std::move(serving.csr);
+    epoch->arena_ = std::move(serving.arena);
+  }
+  epoch->load_info_.arena_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t1).count();
+  epoch->start_serving();
   return epoch;
 }
 
 std::shared_ptr<ServerEpoch> ServerEpoch::adopt(SnapshotStack stack,
                                                 std::uint64_t id) {
+  using Clock = std::chrono::steady_clock;
   auto epoch = std::shared_ptr<ServerEpoch>(new ServerEpoch());
   epoch->id_ = id;
-  epoch->stack_ = std::move(stack);
-  epoch->compile();
+  const auto t0 = Clock::now();
+  epoch->n_ = stack.n;
+  epoch->epsilon_ = stack.epsilon;
+  epoch->csr_ = stack.csr;
+  epoch->arena_ = stack.build_arena();
+  epoch->load_info_.arena_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  std::call_once(epoch->stack_once_,
+                 [&] { epoch->stack_ = std::move(stack); });
+  epoch->start_serving();
   return epoch;
 }
 
-void ServerEpoch::compile() {
+void ServerEpoch::start_serving() {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  arena_ = stack_.build_arena();
-  if (stack_.hier) {
-    hier_ = std::make_unique<HierarchicalHopScheme>(*stack_.hier, arena_);
+  const HopArena& a = *arena_;
+  if (a.hier_present) {
+    schemes_[0] = std::make_unique<HierarchicalHopScheme>(arena_);
   }
-  if (stack_.sf) {
-    sf_ = std::make_unique<ScaleFreeHopScheme>(*stack_.sf, arena_);
+  if (a.sf_present) schemes_[1] = std::make_unique<ScaleFreeHopScheme>(arena_);
+  if (a.simple_present) {
+    schemes_[2] = std::make_unique<SimpleNameIndependentHopScheme>(arena_);
   }
-  if (stack_.simple) {
-    simple_ = std::make_unique<SimpleNameIndependentHopScheme>(
-        *stack_.simple, *stack_.hier, arena_);
+  if (a.sfni_present) {
+    schemes_[3] = std::make_unique<ScaleFreeNameIndependentHopScheme>(arena_);
   }
-  if (stack_.sfni) {
-    sfni_ = std::make_unique<ScaleFreeNameIndependentHopScheme>(
-        *stack_.sfni, *stack_.sf, arena_);
-  }
-  load_info_.arena_ms =
+  load_info_.arena_ms +=
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  self_fingerprint_ = compute_self_fingerprint();
+  {
+    CR_OBS_SPAN("load.self_audit", "server");
+    try {
+      self_fingerprint_ = compute_self_fingerprint();
+    } catch (const InvariantError& e) {
+      // A snapshot-built epoch always serves its own audit batch; tables
+      // that trip an invariant on it are corrupt, however well-formed.
+      throw SnapshotError(std::string("corrupt snapshot: load-time serve "
+                                      "audit failed: ") +
+                          e.what());
+    }
+  }
   g_epochs_alive.fetch_add(1, std::memory_order_relaxed);
   counted_alive_ = true;
+}
+
+const SnapshotStack& ServerEpoch::stack() const {
+  std::call_once(stack_once_, [this] {
+    stack_ = mapping_ ? mapping_->decode() : decode_snapshot(bytes_);
+  });
+  return stack_;
 }
 
 ServerEpoch::~ServerEpoch() {
@@ -145,24 +185,18 @@ std::size_t ServerEpoch::alive() {
 }
 
 bool ServerEpoch::has(ServeScheme scheme) const {
-  switch (scheme) {
-    case ServeScheme::kHierarchical: return hier_ != nullptr;
-    case ServeScheme::kScaleFree: return sf_ != nullptr;
-    case ServeScheme::kSimpleNi: return simple_ != nullptr;
-    case ServeScheme::kScaleFreeNi: return sfni_ != nullptr;
-  }
-  return false;
+  return hop_scheme(scheme) != nullptr;
 }
 
 std::uint64_t ServerEpoch::dest_key(ServeScheme scheme, NodeId dest) const {
-  CR_CHECK(dest < stack_.n);
+  CR_CHECK(dest < n_);
   switch (scheme) {
     case ServeScheme::kHierarchical:
     case ServeScheme::kScaleFree:
-      return std::uint64_t{stack_.hierarchy->leaf_label(dest)};
+      return std::uint64_t{arena_->leaf_label[dest]};
     case ServeScheme::kSimpleNi:
     case ServeScheme::kScaleFreeNi:
-      return stack_.naming->name_of(dest);
+      return arena_->name_of[dest];
   }
   CR_CHECK_MSG(false, "unknown serve scheme");
   return 0;
@@ -171,22 +205,15 @@ std::uint64_t ServerEpoch::dest_key(ServeScheme scheme, NodeId dest) const {
 std::uint64_t ServerEpoch::serve(const ServerRequest& request,
                                  std::size_t max_hops,
                                  std::size_t* hops) const {
-  CR_CHECK_MSG(has(request.scheme), "request for a scheme this epoch lacks");
-  const HopScheme* scheme = nullptr;
-  switch (request.scheme) {
-    case ServeScheme::kHierarchical: scheme = hier_.get(); break;
-    case ServeScheme::kScaleFree: scheme = sf_.get(); break;
-    case ServeScheme::kSimpleNi: scheme = simple_.get(); break;
-    case ServeScheme::kScaleFreeNi: scheme = sfni_.get(); break;
-  }
-  const std::size_t budget =
-      max_hops != 0 ? max_hops : 64 * stack_.n + 1024;
+  const HopScheme* scheme = hop_scheme(request.scheme);
+  CR_CHECK_MSG(scheme != nullptr, "request for a scheme this epoch lacks");
+  const std::size_t budget = max_hops != 0 ? max_hops : 64 * n_ + 1024;
   ServeRequest one;
   one.src = request.src;
   one.dest_key = dest_key(request.scheme, request.dest);
   bool delivered = false;
   const std::uint64_t fp =
-      serve_one(stack_.csr, *scheme, one, budget, hops, &delivered);
+      serve_one(csr_, *scheme, one, budget, hops, &delivered);
   CR_CHECK(delivered);
   return fp;
 }
@@ -204,8 +231,8 @@ std::uint64_t ServerEpoch::compute_self_fingerprint() const {
     for (std::size_t i = 0; i < kSelfAuditRequests; ++i, ++k) {
       ServerRequest request;
       request.scheme = scheme;
-      request.src = static_cast<NodeId>(prng.next_below(stack_.n));
-      NodeId dest = static_cast<NodeId>(prng.next_below(stack_.n - 1));
+      request.src = static_cast<NodeId>(prng.next_below(n_));
+      NodeId dest = static_cast<NodeId>(prng.next_below(n_ - 1));
       if (dest >= request.src) ++dest;
       request.dest = dest;
       const std::uint64_t fp = serve(request, 0, nullptr);

@@ -6,11 +6,13 @@
 // runtime/serve is a batch replayer — one stack, one batch, exit. Production
 // serving (build once, query forever) needs three things it lacks:
 //
-//   * a load path that does not copy the snapshot: ServerEpoch maps the file
-//     (io/snapshot_mmap) and decodes through the borrowed-buffer path, the
-//     mapping staying alive exactly as long as the epoch;
+//   * a zero-decode load path: ServerEpoch maps the file (io/snapshot_mmap),
+//     checks every section CRC, and restores the persisted HopArena
+//     sections into fresh slabs behind one bounds-validation pass — no
+//     scheme section is decoded and no arena is compiled. The mapping stays
+//     alive exactly as long as the epoch, for the lazy stack() decode;
 //   * zero-downtime reload: the server holds an atomic epoch pointer; a new
-//     epoch is built off to the side (map + decode + HopArena compile) and
+//     epoch is built off to the side (map + verify + arena restore) and
 //     published with one atomic swap. In-flight requests pin the epoch they
 //     started on (RCU-style grace counting), so the old epoch — and its
 //     mapping — is released only when the last pinned request retires. Both
@@ -29,6 +31,7 @@
 // occupancy, so shed counts and the delivered-request digest are reproducible
 // (tests/test_server.cpp).
 //
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -45,11 +48,6 @@
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
-
-class HierarchicalHopScheme;
-class ScaleFreeHopScheme;
-class SimpleNameIndependentHopScheme;
-class ScaleFreeNameIndependentHopScheme;
 
 /// Which hop runtime a request rides. Labeled schemes address destinations by
 /// netting-tree leaf label, name-independent ones by original name — both are
@@ -103,29 +101,34 @@ struct ServerResult {
   }
 };
 
-/// A fully loaded, immutable serving snapshot: the decoded stack, its
-/// compiled HopArena, the four hop runtimes, and (on the mmap path) the live
-/// file mapping. Epochs are shared_ptr-managed; the destructor — which is
-/// where the mapping is released — CR_CHECKs that no request is still pinned,
-/// making "unmap only after the last in-flight request retires" an enforced
+/// A fully loaded, immutable serving snapshot: the graph, the HopArena, the
+/// hop runtimes stepping it, and (on the mmap path) the live file mapping.
+/// Epochs are shared_ptr-managed; the destructor — which is where the
+/// mapping is released — CR_CHECKs that no request is still pinned, making
+/// "unmap only after the last in-flight request retires" an enforced
 /// invariant rather than a convention.
 class ServerEpoch {
  public:
   struct LoadInfo {
     bool used_mmap = false;
     std::size_t file_bytes = 0;
-    double load_ms = 0;   // open/map/read + validate + decode
-    double arena_ms = 0;  // HopArena compile + hop runtime construction
+    double load_ms = 0;   // open/map (or read) + verify: directory and CRCs
+    double arena_ms = 0;  // graph decode + arena slab restore + validation +
+                          // hop runtime construction
   };
 
-  /// Loads `path` (mmap + borrowed-buffer decode when `use_mmap`, else the
-  /// heap-read vector path), compiles the arena, constructs a hop runtime per
-  /// present scheme, and records the load-time self-audit fingerprint.
-  /// Throws SnapshotError on any load defect.
+  /// Loads `path` (mmap when `use_mmap`, else a heap read), verifies the
+  /// directory and every section CRC, restores the persisted arena into
+  /// fresh slabs behind its bounds validation, decodes the graph, constructs
+  /// a hop runtime per present scheme, and records the load-time self-audit
+  /// fingerprint. Calls no scheme decoder and compiles no arena. Throws
+  /// SnapshotError on any load defect, including a self-audit that trips an
+  /// invariant on the restored tables.
   static std::shared_ptr<ServerEpoch> load(const std::string& path,
                                            bool use_mmap, std::uint64_t id);
 
-  /// Wraps an already decoded stack (fresh builds, tests).
+  /// Wraps an already decoded stack (fresh builds, tests), compiling its
+  /// arena with HopArena::build.
   static std::shared_ptr<ServerEpoch> adopt(SnapshotStack stack,
                                             std::uint64_t id);
 
@@ -134,10 +137,26 @@ class ServerEpoch {
   ServerEpoch& operator=(const ServerEpoch&) = delete;
 
   std::uint64_t id() const { return id_; }
-  std::size_t n() const { return stack_.n; }
-  const SnapshotStack& stack() const { return stack_; }
+  std::size_t n() const { return n_; }
+  double epsilon() const { return epsilon_; }  // the ε the stack was built with
+  const CsrGraph& csr() const { return csr_; }
+  const std::shared_ptr<const HopArena>& arena() const { return arena_; }
+
+  /// The decoded scheme stack, for audit and evaluation callers. A loaded
+  /// epoch decodes its compact sections on the first call (once, thread-
+  /// safely, from the epoch's own mapping or bytes); serving never needs it.
+  /// Throws SnapshotError if that decode fails. On the mmap path the file
+  /// must not be truncated or rewritten in place while the epoch lives
+  /// (replace snapshots by rename): the decode reads the mapping.
+  const SnapshotStack& stack() const;
+
   const LoadInfo& load_info() const { return load_info_; }
   bool has(ServeScheme scheme) const;
+
+  /// The hop runtime serving `scheme` (null when the epoch lacks it).
+  const HopScheme* hop_scheme(ServeScheme scheme) const {
+    return schemes_[static_cast<std::size_t>(scheme)].get();
+  }
 
   /// The scheme's destination key for `dest` under THIS epoch's tables
   /// (leaf label for labeled schemes, name for NI schemes).
@@ -169,18 +188,21 @@ class ServerEpoch {
 
  private:
   ServerEpoch() = default;
-  void compile();
+  /// Builds the hop runtimes over arena_ and records the self-fingerprint.
+  void start_serving();
   std::uint64_t compute_self_fingerprint() const;
 
   std::uint64_t id_ = 0;
   LoadInfo load_info_;
   std::optional<MappedSnapshot> mapping_;  // engaged only on the mmap path
-  SnapshotStack stack_;
+  std::vector<std::uint8_t> bytes_;        // the heap-read path's file bytes
+  std::size_t n_ = 0;
+  double epsilon_ = 0;
+  CsrGraph csr_;
+  mutable std::once_flag stack_once_;
+  mutable SnapshotStack stack_;  // decoded on first stack() unless adopted
   std::shared_ptr<const HopArena> arena_;
-  std::unique_ptr<HierarchicalHopScheme> hier_;
-  std::unique_ptr<ScaleFreeHopScheme> sf_;
-  std::unique_ptr<SimpleNameIndependentHopScheme> simple_;
-  std::unique_ptr<ScaleFreeNameIndependentHopScheme> sfni_;
+  std::array<std::unique_ptr<HopScheme>, kNumServeSchemes> schemes_;
   std::uint64_t self_fingerprint_ = 0;
   std::atomic<std::size_t> in_flight_{0};
   bool counted_alive_ = false;  // alive() bookkeeping (set once compiled)

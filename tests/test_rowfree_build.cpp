@@ -13,6 +13,7 @@
 // while dependency-violating subsets are rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -101,9 +102,21 @@ TEST(RowFreeBuild, SnapshotBytesIdenticalAcrossBackendsAndWorkers) {
       MetricOptions{},
       {.backend = MetricBackendKind::kRowFree},
   };
+  const auto sections = snapshot_directory(reference);
   for (const MetricOptions& options : backends) {
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
       const std::vector<std::uint8_t> bytes = snapshot_bytes(workers, options);
+      ASSERT_EQ(bytes.size(), reference.size());
+      // The persisted arena sections, one by one, then the whole file.
+      for (const SnapshotSection& s : sections) {
+        if (s.name.rfind("arena-", 0) != 0) continue;
+        const auto at = static_cast<long>(s.offset);
+        EXPECT_TRUE(std::equal(reference.begin() + at,
+                               reference.begin() + at + static_cast<long>(s.size),
+                               bytes.begin() + at))
+            << s.name << " diverged: backend=" << backend_name(options.backend)
+            << " workers=" << workers;
+      }
       EXPECT_TRUE(reference == bytes)
           << "snapshot diverged: backend=" << backend_name(options.backend)
           << " workers=" << workers;
@@ -228,12 +241,23 @@ TEST(RowFreeBuild, SubsetSnapshotRoundTripsAbsentSchemes) {
   EXPECT_EQ(loaded.sf, nullptr);
   EXPECT_EQ(loaded.sfni, nullptr);
 
-  // The directory still lists all 8 sections; the absent ones are empty.
-  std::size_t empty = 0;
+  // The directory still lists all 13 sections; the absent schemes' compact
+  // sections and their arena sections are empty.
+  std::vector<std::string> empty;
   for (const SnapshotSection& sec : snapshot_directory(bytes)) {
-    if (sec.size == 0) ++empty;
+    if (sec.size == 0) empty.push_back(sec.name);
   }
-  EXPECT_EQ(empty, 2u);
+  EXPECT_EQ(empty, (std::vector<std::string>{"labeled-scale-free",
+                                             "ni-scale-free", "arena-sf",
+                                             "arena-sfni"}));
+
+  // The serving restore loads the subset too, with the absent schemes off.
+  const ServingSnapshot serving =
+      restore_serving_snapshot(bytes.data(), bytes.size());
+  EXPECT_TRUE(serving.arena->hier_present);
+  EXPECT_TRUE(serving.arena->simple_present);
+  EXPECT_FALSE(serving.arena->sf_present);
+  EXPECT_FALSE(serving.arena->sfni_present);
 
   // The corruption battery must cope with zero-size sections — the trailing
   // absent one has offset == file size, which once sent a byte flip one

@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,7 +36,10 @@
 #include "nameind/scale_free_nameind.hpp"
 #include "nameind/simple_nameind.hpp"
 #include "nets/rnet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sharded.hpp"
 #include "routing/naming.hpp"
+#include "runtime/serve.hpp"
 #include "runtime/server.hpp"
 
 namespace compactroute {
@@ -116,6 +121,89 @@ TEST(ServerEpoch, DestKeyMatchesStackTables) {
               stack.naming->name_of(v));
   }
 }
+
+#ifndef CR_OBS_DISABLED
+std::uint64_t scheme_decodes(bool* registered = nullptr) {
+  const auto scraped = obs::scrape_global();
+  const auto it = scraped->counters().find("snapshot.scheme_decodes");
+  if (registered != nullptr) *registered = it != scraped->counters().end();
+  return it == scraped->counters().end() ? 0 : it->second.value();
+}
+
+/// Completed HopArena::build calls (its `arena.build` timer's span count).
+std::uint64_t arena_builds() {
+  const auto scraped = obs::scrape_global();
+  const auto it = scraped->timers().find("arena.build");
+  return it == scraped->timers().end() ? 0 : it->second.spans();
+}
+
+// The zero-decode contract: loading an epoch from its file, publishing it and
+// serving through it run no scheme-section decoder and compile no arena; the
+// first stack() call decodes the four scheme sections exactly once, and later
+// calls reuse it.
+TEST(ServerEpoch, LoadPublishAndServeCallNoSchemeDecoder) {
+  Executor::global().set_workers(1);
+  preregister_serving_metrics();
+  bool registered = false;
+  const std::uint64_t before = scheme_decodes(&registered);
+  EXPECT_TRUE(registered) << "snapshot.scheme_decodes is not pre-registered";
+
+  const std::string path = ::testing::TempDir() + "cr_server_zero_decode.snap";
+  write_snapshot_file(path, bytes_a());
+  for (const bool use_mmap : {true, false}) {
+    const std::uint64_t start = scheme_decodes();
+    const std::uint64_t builds = arena_builds();
+    const auto epoch = ServerEpoch::load(path, use_mmap, 2);
+    Server server;
+    server.publish(epoch);
+    const auto requests = mixed_requests(64, 64, 11);
+    std::vector<ServerResult> results(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(server.submit(requests[i], i));
+    }
+    server.drain(results);
+    for (const ServerResult& r : results) {
+      EXPECT_EQ(r.status.load(), ServeStatus::kDelivered);
+    }
+    EXPECT_EQ(scheme_decodes(), start) << "load/publish/serve decoded a scheme";
+    EXPECT_EQ(arena_builds(), builds) << "load/publish/serve compiled an arena";
+
+    const SnapshotStack& stack = epoch->stack();
+    EXPECT_EQ(scheme_decodes(), start + 4);
+    EXPECT_EQ(&epoch->stack(), &stack);
+    EXPECT_EQ(scheme_decodes(), start + 4);
+    // The restored tables key destinations exactly as the decoded stack.
+    for (NodeId v = 0; v < 64; ++v) {
+      EXPECT_EQ(epoch->dest_key(ServeScheme::kScaleFree, v),
+                std::uint64_t{stack.hierarchy->leaf_label(v)});
+      EXPECT_EQ(epoch->dest_key(ServeScheme::kScaleFreeNi, v),
+                stack.naming->name_of(v));
+    }
+  }
+  EXPECT_EQ(scheme_decodes(), before + 8);
+  std::remove(path.c_str());
+}
+
+// stack() is safe to race: concurrent first calls decode once and all see
+// the same stack (the TSan CI job runs this file).
+TEST(ServerEpoch, ConcurrentStackCallsDecodeOnce) {
+  Executor::global().set_workers(1);
+  const std::string path = ::testing::TempDir() + "cr_server_stack_race.snap";
+  write_snapshot_file(path, bytes_a());
+  const auto epoch = ServerEpoch::load(path, /*use_mmap=*/true, 3);
+  const std::uint64_t start = scheme_decodes();
+  std::vector<const SnapshotStack*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] { seen[t] = &epoch->stack(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const SnapshotStack* stack : seen) EXPECT_EQ(stack, seen[0]);
+  EXPECT_EQ(seen[0]->n, 64u);
+  EXPECT_EQ(scheme_decodes(), start + 4);
+  std::remove(path.c_str());
+}
+#endif  // CR_OBS_DISABLED
 
 // The tentpole soak: concurrent requesters, continuous epoch flips between
 // two different snapshots, per-request fingerprint attribution, and grace-

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "audit/snapshot_audit.hpp"
@@ -86,6 +88,14 @@ TEST(SnapshotRoundTrip, RowFreeFourWorkers) {
   run_roundtrip(MetricBackendKind::kRowFree, 4);
 }
 
+/// The payload of section `index` (directory order).
+std::vector<std::uint8_t> section_payload(const std::vector<std::uint8_t>& bytes,
+                                          std::size_t index) {
+  const SnapshotSection s = snapshot_directory(bytes).at(index);
+  const auto first = bytes.begin() + static_cast<long>(s.offset);
+  return {first, first + static_cast<long>(s.size)};
+}
+
 TEST(SnapshotRoundTrip, EncodeIsWorkerCountAndBackendInvariant) {
   Executor::global().set_workers(1);
   const std::vector<std::uint8_t> serial =
@@ -95,17 +105,32 @@ TEST(SnapshotRoundTrip, EncodeIsWorkerCountAndBackendInvariant) {
       FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kDense).encode();
   const std::vector<std::uint8_t> rowfree =
       FreshStack(make_grid(7, 9), kEps, MetricBackendKind::kRowFree).encode();
+  // The arena sections (8..12) first, so a divergence names the section.
+  for (std::size_t i = 8; i < 13; ++i) {
+    const std::vector<std::uint8_t> want = section_payload(serial, i);
+    EXPECT_FALSE(want.empty()) << "arena section " << i;
+    EXPECT_EQ(want, section_payload(parallel, i)) << "arena section " << i;
+    EXPECT_EQ(want, section_payload(rowfree, i)) << "arena section " << i;
+  }
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, rowfree);
 }
 
-TEST(SnapshotRoundTrip, DirectoryListsAllEightSections) {
+TEST(SnapshotRoundTrip, DirectoryListsAllThirteenSections) {
   const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
   const std::vector<std::uint8_t> bytes = stack.encode();
   const auto sections = snapshot_directory(bytes);
-  ASSERT_EQ(sections.size(), 8u);
+  ASSERT_EQ(sections.size(), 13u);
+  const char* names[] = {"meta",         "graph",
+                         "hierarchy",    "naming",
+                         "labeled-hierarchical", "labeled-scale-free",
+                         "ni-simple",    "ni-scale-free",
+                         "arena-nodes",  "arena-hier",
+                         "arena-sf",     "arena-simple",
+                         "arena-sfni"};
   for (std::size_t i = 0; i < sections.size(); ++i) {
     EXPECT_EQ(sections[i].id, i + 1);
+    EXPECT_EQ(sections[i].name, names[i]);
     EXPECT_GT(sections[i].size, 0u);
   }
   // Payloads tile the file exactly.
@@ -138,14 +163,18 @@ TEST(SnapshotRoundTrip, FileRoundTrip) {
 }
 
 // Golden snapshot bytes: file size, directory CRC and every section CRC of
-// fixed small stacks. Encoder, decoder and CRC changes must leave format v1
-// byte-identical, so these values never change; the section CRCs are
-// recomputed from the payloads too, which pins snapshot_crc32 on real data.
+// fixed small stacks. The eight compact-section CRCs are unchanged since
+// format v1 (encoder, decoder and CRC changes must leave those payloads
+// byte-identical); format v2 appended the five arena sections, which moved
+// the file size and the directory CRC and added the pinned arena CRCs. The
+// section CRCs are recomputed from the payloads too, which pins
+// snapshot_crc32 on real data.
 struct GoldenSnapshot {
   const char* name;
   std::size_t bytes;
   std::uint32_t directory_crc;
   std::uint32_t section_crc[8];
+  std::uint32_t arena_crc[5];
 };
 
 void expect_golden(const FreshStack& stack, const GoldenSnapshot& golden) {
@@ -160,45 +189,54 @@ void expect_golden(const FreshStack& stack, const GoldenSnapshot& golden) {
   EXPECT_EQ(directory_crc, golden.directory_crc)
       << std::hex << "directory crc 0x" << directory_crc;
   const auto sections = snapshot_directory(bytes);
-  ASSERT_EQ(sections.size(), 8u);
+  ASSERT_EQ(sections.size(), 13u);
   EXPECT_EQ(snapshot_crc32(bytes.data() + 20, sections.size() * 24),
             golden.directory_crc);
   for (std::size_t i = 0; i < sections.size(); ++i) {
-    EXPECT_EQ(sections[i].crc, golden.section_crc[i])
+    const std::uint32_t want =
+        i < 8 ? golden.section_crc[i] : golden.arena_crc[i - 8];
+    EXPECT_EQ(sections[i].crc, want)
         << std::hex << sections[i].name << " crc 0x" << sections[i].crc;
     EXPECT_EQ(snapshot_crc32(bytes.data() + sections[i].offset,
                              static_cast<std::size_t>(sections[i].size)),
-              golden.section_crc[i]);
+              want);
   }
   EXPECT_NO_THROW(decode_snapshot(bytes));
+  EXPECT_NO_THROW(restore_serving_snapshot(bytes.data(), bytes.size()));
 }
 
 TEST(SnapshotGolden, Grid8x8Eps050) {
   expect_golden(FreshStack(make_grid(8, 8), 0.5, MetricBackendKind::kDense),
                 {"grid-8x8 eps 0.5",
-                 116577,
-                 0xaf0d0593u,
+                 460089,
+                 0xd51452bau,
                  {0xc949517cu, 0xd54a6104u, 0xc4b84570u, 0xfe4dab99u,
-                  0x6cc3ed9au, 0x9a3ed669u, 0x5ab4b5ecu, 0x2a842f71u}});
+                  0x6cc3ed9au, 0x9a3ed669u, 0x5ab4b5ecu, 0x2a842f71u},
+                 {0x5af4f702u, 0x0276a532u, 0x071fecaau, 0x759d062au,
+                  0xfaeae7f3u}});
 }
 
 TEST(SnapshotGolden, Grid8x8Eps025) {
   expect_golden(FreshStack(make_grid(8, 8), 0.25, MetricBackendKind::kDense),
                 {"grid-8x8 eps 0.25",
-                 206388,
-                 0x0ab86f27u,
+                 817612,
+                 0x357c470fu,
                  {0xfc8f1c62u, 0xd54a6104u, 0xc4b84570u, 0xfe4dab99u,
-                  0x18390fbfu, 0x8521c13au, 0xa294a390u, 0xd02b018du}});
+                  0x18390fbfu, 0x8521c13au, 0xa294a390u, 0xd02b018du},
+                 {0x5af4f702u, 0xce72cc0cu, 0xa3b06c18u, 0x9567b372u,
+                  0x9a23bab3u}});
 }
 
 TEST(SnapshotGolden, PowerLaw128Eps050) {
   expect_golden(
       FreshStack(make_power_law(128, 2, 7), 0.5, MetricBackendKind::kDense),
       {"powerlaw-128 eps 0.5",
-       247568,
-       0x6c74540bu,
+       990982,
+       0xd9bccc21u,
        {0x8629e03bu, 0xd7091eb5u, 0xc8a0dcd5u, 0x581e7106u, 0x9d2b1c45u,
-        0x60299ef8u, 0x3afe5d57u, 0xbf8e547fu}});
+        0x60299ef8u, 0x3afe5d57u, 0xbf8e547fu},
+       {0x57012d79u, 0xd4c521e3u, 0x07920c4fu, 0x4c6689e3u,
+        0x217f466cu}});
 }
 
 // snapshot_crc32 is IEEE 802.3 CRC-32 (reflected 0xEDB88320, init and final
@@ -226,17 +264,41 @@ TEST(SnapshotCrc, KnownAnswer) {
   EXPECT_EQ(snapshot_crc32(nullptr, 0), 0u);
 }
 
+// Lengths up to 1100 cross the 64-byte fold block and the 16-byte tail of
+// the PCLMULQDQ kernel many times over; offsets 0..15 cover every 16-byte
+// misalignment. The dispatched entry point and both kernels are checked.
 TEST(SnapshotCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
   Prng prng(1234);
-  std::vector<std::uint8_t> buffer(257 + 8);
+  std::vector<std::uint8_t> buffer(1100 + 16);
   for (auto& byte : buffer) byte = static_cast<std::uint8_t>(prng.next_u64());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 257; ++length) {
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 1100; ++length) {
       const std::uint8_t* start = buffer.data() + offset;
-      ASSERT_EQ(snapshot_crc32(start, length), reference_crc32(start, length))
-          << "offset " << offset << " length " << length;
+      const std::uint32_t want = reference_crc32(start, length);
+      ASSERT_EQ(snapshot_crc32(start, length), want)
+          << "dispatched, offset " << offset << " length " << length;
+      ASSERT_EQ(snapshot_crc32_slicing_by_8(start, length), want)
+          << "slicing-by-8, offset " << offset << " length " << length;
+      ASSERT_EQ(snapshot_crc32_clmul(start, length), want)
+          << "pclmulqdq, offset " << offset << " length " << length;
     }
   }
+}
+
+TEST(SnapshotCrc, ExtendContinuesARunningCrc) {
+  Prng prng(99);
+  std::vector<std::uint8_t> buffer(3000);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(prng.next_u64());
+  for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{63}, std::size_t{64},
+                                  std::size_t{1234}, std::size_t{3000}}) {
+    const std::uint32_t head = snapshot_crc32(buffer.data(), split);
+    EXPECT_EQ(snapshot_crc32_extend(head, buffer.data() + split,
+                                    buffer.size() - split),
+              snapshot_crc32(buffer.data(), buffer.size()))
+        << "split " << split;
+  }
+  EXPECT_EQ(snapshot_crc32_extend(0, nullptr, 0), 0u);
 }
 
 // Loader fuzz: every truncation at a section boundary and every per-section
@@ -279,6 +341,106 @@ TEST(SnapshotFuzz, ByteFlipInEverySectionIsRejected) {
           << ") was accepted";
     }
   }
+}
+
+/// Re-lays `bytes` with the given (id, payload) directory entries: offsets,
+/// section CRCs and the directory CRC all recomputed, so only the id list
+/// itself is wrong.
+std::vector<std::uint8_t> relay(
+    const std::vector<std::uint8_t>& bytes,
+    const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>&
+        entries) {
+  const auto put32 = [](std::vector<std::uint8_t>& out, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+  };
+  const auto put64 = [](std::vector<std::uint8_t>& out, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+  };
+  std::vector<std::uint8_t> directory;
+  std::uint64_t offset = 20 + 24 * entries.size();
+  for (const auto& [id, payload] : entries) {
+    put32(directory, id);
+    put64(directory, offset);
+    put64(directory, payload.size());
+    put32(directory, snapshot_crc32(payload.data(), payload.size()));
+    offset += payload.size();
+  }
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.begin() + 12);  // magic+version
+  put32(out, static_cast<std::uint32_t>(entries.size()));
+  put32(out, snapshot_crc32(directory.data(), directory.size()));
+  out.insert(out.end(), directory.begin(), directory.end());
+  for (const auto& entry : entries) {
+    out.insert(out.end(), entry.second.begin(), entry.second.end());
+  }
+  return out;
+}
+
+void expect_directory_rejected(const std::vector<std::uint8_t>& bytes,
+                               const std::string& why, const char* what) {
+  SCOPED_TRACE(what);
+  try {
+    (void)snapshot_directory(bytes);
+    ADD_FAILURE() << "directory accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(decode_snapshot(bytes), SnapshotError);
+  EXPECT_THROW(restore_serving_snapshot(bytes.data(), bytes.size()),
+               SnapshotError);
+}
+
+// The directory must hold exactly the canonical section ids in canonical
+// order; each file below is CRC-valid throughout, so only the id check can
+// reject it.
+TEST(SnapshotFuzz, NonCanonicalSectionIdsAreRejected) {
+  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
+  const std::vector<std::uint8_t> bytes = stack.encode();
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> honest;
+  for (std::size_t i = 0; i < 13; ++i) {
+    honest.emplace_back(static_cast<std::uint32_t>(i + 1),
+                        section_payload(bytes, i));
+  }
+  ASSERT_EQ(relay(bytes, honest), bytes);  // the helper itself is faithful
+
+  auto unknown = honest;
+  unknown.emplace_back(99, std::vector<std::uint8_t>{1, 2, 3});
+  expect_directory_rejected(relay(bytes, unknown), "unknown section id 99",
+                            "extra id-99 section");
+
+  auto duplicate = honest;
+  duplicate.insert(duplicate.begin() + 4, honest[3]);  // a second naming
+  expect_directory_rejected(relay(bytes, duplicate), "duplicate section naming",
+                            "second naming entry");
+
+  auto missing = honest;
+  missing.erase(missing.begin() + 10);  // no arena-sf
+  expect_directory_rejected(relay(bytes, missing), "missing section arena-sf",
+                            "arena-sf dropped");
+
+  auto reordered = honest;
+  std::swap(reordered[4], reordered[5]);  // hier <-> scale-free
+  expect_directory_rejected(relay(bytes, reordered), "out of order",
+                            "hier and scale-free swapped");
+}
+
+// A format-v1 file (no arena sections) has no load path: it is rejected
+// with a typed error naming the version.
+TEST(SnapshotFuzz, FormatV1IsRejectedByVersion) {
+  const FreshStack stack(make_grid(6, 6), kEps, MetricBackendKind::kDense);
+  std::vector<std::uint8_t> bytes = stack.encode();
+  ASSERT_EQ(bytes[8], 2);  // the version field (outside every CRC)
+  bytes[8] = 1;
+  try {
+    (void)snapshot_directory(bytes);
+    ADD_FAILURE() << "v1 file accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(decode_snapshot(bytes), SnapshotError);
+  EXPECT_THROW(restore_serving_snapshot(bytes.data(), bytes.size()),
+               SnapshotError);
 }
 
 TEST(SnapshotFuzz, EmptyAndGarbageInputsAreRejected) {

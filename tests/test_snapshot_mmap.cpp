@@ -90,7 +90,10 @@ void expect_equal_fingerprints(const audit::ServeFingerprints& a,
 void run_golden_equivalence(std::size_t workers) {
   Executor::global().set_workers(workers);
   const Fixture& f = fixture();
-  ScratchFile snap("test_snapshot_mmap_golden.snap");
+  // One file per worker count: the two cases may run as concurrent
+  // processes, and rewriting a file another process maps is a SIGBUS.
+  ScratchFile snap("test_snapshot_mmap_golden_" + std::to_string(workers) +
+                   ".snap");
   write_snapshot_file(snap.path, f.bytes);
 
   const SnapshotStack from_vector = decode_snapshot(f.bytes);
@@ -103,6 +106,14 @@ void run_golden_equivalence(std::size_t workers) {
   const audit::ServeFingerprints map_fp =
       audit::serve_fingerprints(from_mmap, kFingerprintRequests, kSeed);
   expect_equal_fingerprints(vec_fp, map_fp);
+
+  // The serving restore reads the arena sections straight from the mapping.
+  const MappedSnapshot mapped(snap.path);
+  const ServingSnapshot serving =
+      restore_serving_snapshot(mapped.data(), mapped.size());
+  expect_equal_fingerprints(
+      vec_fp, audit::serve_fingerprints(serving.csr, serving.arena,
+                                        kFingerprintRequests, kSeed));
 
   // And both match the fresh build — mmap did not trade fidelity for speed.
   const audit::ServeFingerprints fresh_fp = audit::serve_fingerprints(

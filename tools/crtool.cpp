@@ -141,8 +141,10 @@ namespace {
                "                       hierarchical + ni-simple only; the\n"
                "                       scale-free sections are written empty\n"
                "                       and load back as absent (default all)\n"
-               "  --verify             reload --out, decode, and run the\n"
-               "                       corruption battery; exit 1 on failure\n"
+               "  --verify             reload --out, decode, check the arena\n"
+               "                       sections against a fresh compile, and\n"
+               "                       run the corruption battery; exit 1 on\n"
+               "                       failure\n"
                "build prints per-phase wall times and the process peak RSS.\n"
                "\n"
                "audit options (each list is comma-separated):\n"
@@ -209,8 +211,8 @@ namespace {
                "                       executor worker)\n"
                "  --backpressure       block full-shard submits until a pump\n"
                "                       drains room, instead of shedding\n"
-               "  --no-mmap            load epochs through the heap-read\n"
-               "                       decode path instead of mmap\n"
+               "  --no-mmap            load epochs from a heap read of the\n"
+               "                       file instead of mmap\n"
                "  --out FILE           write the run summary as JSON\n"
                "  --obs-out FILE       write the post-run telemetry scrape\n"
                "server prints routes/s, p50/p99/p999 latency, shed and epoch-\n"
@@ -864,9 +866,10 @@ int cmd_build(std::vector<std::string> args) {
   if (verify) {
     const std::vector<std::uint8_t> bytes = read_snapshot_file(out_path);
     decode_snapshot(bytes);  // throws SnapshotError on any defect
-    const audit::Report report =
-        audit::audit_snapshot_corruption(bytes, audit::Options{});
-    std::printf("verify: decode ok; corruption battery %zu checks, %zu issues\n",
+    audit::Report report = audit::audit_snapshot_arena(bytes);
+    report.merge(audit::audit_snapshot_corruption(bytes, audit::Options{}));
+    std::printf("verify: decode ok; arena equality + corruption battery %zu "
+                "checks, %zu issues\n",
                 report.checks, report.issues.size());
     if (!report.ok()) {
       std::printf("%s", report.summary().c_str());
@@ -881,11 +884,16 @@ int cmd_load_info(const std::vector<std::string>& args) {
   const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
   const auto sections = snapshot_directory(bytes);
   const SnapshotStack stack = decode_snapshot(bytes);
-  std::printf("%s: %zu bytes, format v1\n", args[0].c_str(), bytes.size());
+  // The serving restore too: what ServerEpoch::load would do with the file.
+  const ServingSnapshot serving =
+      restore_serving_snapshot(bytes.data(), sections);
+  std::printf("%s: %zu bytes, format v2\n", args[0].c_str(), bytes.size());
   std::printf("nodes       %zu\n", stack.n);
   std::printf("edges       %zu\n", stack.graph.num_edges());
   std::printf("epsilon     %.6g\n", stack.epsilon);
-  std::printf("net levels  %d\n\n", stack.num_levels);
+  std::printf("net levels  %d\n", stack.num_levels);
+  std::printf("arena       %zu bytes restored and validated\n\n",
+              serving.arena->memory_bytes());
   std::printf("%4s  %-22s %10s %10s  %10s\n", "id", "section", "offset", "size",
               "crc32");
   for (const SnapshotSection& s : sections) {
@@ -956,30 +964,30 @@ int cmd_serve(std::vector<std::string> args) {
   preregister_build_metrics();
   if (!trace_out_path.empty()) obs::SpanCollector::global().enable(true);
 
-  const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
-  const SnapshotStack stack = decode_snapshot(bytes);
-  // One hop arena shared by every scheme served below (one slab set, up to
-  // four steppers riding it).
-  const std::shared_ptr<const HopArena> arena = stack.build_arena();
+  // Served exactly as the long-running server loads an epoch: the persisted
+  // arena restored from the mapped file, no scheme section decoded.
+  const std::shared_ptr<ServerEpoch> epoch =
+      ServerEpoch::load(args[0], /*use_mmap=*/true, 0);
+  const std::size_t n = epoch->n();
   std::printf("serve: %s (n = %zu, eps = %.3g), %llu pairs/scheme, seed %llu, "
               "workers = %zu, arena %zu bytes\n\n",
-              args[0].c_str(), stack.n, stack.epsilon,
+              args[0].c_str(), n, epoch->epsilon(),
               static_cast<unsigned long long>(pairs),
               static_cast<unsigned long long>(seed),
-              Executor::global().workers(), arena->memory_bytes());
+              Executor::global().workers(), epoch->arena()->memory_bytes());
 
-  const auto labeled = make_requests(stack.n, pairs, seed, [&](NodeId v) {
-    return std::uint64_t{stack.hierarchy->leaf_label(v)};
+  const auto labeled = make_requests(n, pairs, seed, [&](NodeId v) {
+    return epoch->dest_key(ServeScheme::kHierarchical, v);
   });
-  const auto named = make_requests(stack.n, pairs, seed + 1, [&](NodeId v) {
-    return stack.naming->name_of(v);
+  const auto named = make_requests(n, pairs, seed + 1, [&](NodeId v) {
+    return epoch->dest_key(ServeScheme::kSimpleNi, v);
   });
 
   obs::JsonValue doc = obs::JsonValue::object();
   doc["bench"] = std::string("serving");
   doc["snapshot"] = args[0];
-  doc["n"] = static_cast<std::uint64_t>(stack.n);
-  doc["epsilon"] = stack.epsilon;
+  doc["n"] = static_cast<std::uint64_t>(n);
+  doc["epsilon"] = epoch->epsilon();
   doc["pairs"] = pairs;
   doc["seed"] = seed;
   doc["workers"] = static_cast<std::uint64_t>(Executor::global().workers());
@@ -994,7 +1002,8 @@ int cmd_serve(std::vector<std::string> args) {
       trace_out_path.empty() ? 0 : std::max<std::size_t>(1, pairs / 64);
   const auto run = [&](const HopScheme& hop,
                        const std::vector<ServeRequest>& requests) {
-    const ServeStats s = serve_batch(stack.csr, hop, requests, serve_options);
+    const ServeStats s =
+        serve_batch(epoch->csr(), hop, requests, serve_options);
     std::printf("%-26s %12.0f %9.2f %9.2f %9.2f %9.2f %10.2f\n",
                 hop.name().c_str(), s.routes_per_sec, s.p50_us, s.p90_us,
                 s.p99_us, s.p999_us,
@@ -1018,8 +1027,8 @@ int cmd_serve(std::vector<std::string> args) {
   // A subset snapshot (crtool build --schemes light) loads the missing
   // schemes as null: under `all` they are skipped with a note, but asking for
   // one by name is an error — the snapshot cannot answer that request.
-  const auto require = [&](const char* flag, const void* scheme) {
-    if (scheme != nullptr) return true;
+  const auto require = [&](const char* flag, ServeScheme scheme) {
+    if (epoch->has(scheme)) return true;
     if (!all) {
       std::fprintf(stderr, "snapshot has no %s section (subset snapshot)\n",
                    flag);
@@ -1028,19 +1037,19 @@ int cmd_serve(std::vector<std::string> args) {
     std::printf("%-26s %12s\n", flag, "(absent)");
     return false;
   };
-  if ((all || scheme_sel == "hier") && require("hier", stack.hier.get())) {
-    run(HierarchicalHopScheme(*stack.hier, arena), labeled);
-  }
-  if ((all || scheme_sel == "sf") && require("sf", stack.sf.get())) {
-    run(ScaleFreeHopScheme(*stack.sf, arena), labeled);
-  }
-  if ((all || scheme_sel == "simple") && require("simple", stack.simple.get())) {
-    run(SimpleNameIndependentHopScheme(*stack.simple, *stack.hier, arena),
-        named);
-  }
-  if ((all || scheme_sel == "sfni") && require("sfni", stack.sfni.get())) {
-    run(ScaleFreeNameIndependentHopScheme(*stack.sfni, *stack.sf, arena),
-        named);
+  const struct {
+    const char* flag;
+    ServeScheme scheme;
+  } schemes[] = {{"hier", ServeScheme::kHierarchical},
+                 {"sf", ServeScheme::kScaleFree},
+                 {"simple", ServeScheme::kSimpleNi},
+                 {"sfni", ServeScheme::kScaleFreeNi}};
+  for (const auto& [flag, scheme] : schemes) {
+    if ((all || scheme_sel == flag) && require(flag, scheme)) {
+      const bool named_keys = scheme == ServeScheme::kSimpleNi ||
+                              scheme == ServeScheme::kScaleFreeNi;
+      run(*epoch->hop_scheme(scheme), named_keys ? named : labeled);
+    }
   }
 
   bool artifacts_ok = true;
@@ -1057,7 +1066,8 @@ int cmd_serve(std::vector<std::string> args) {
     artifacts_ok &= write_output_file(trace_out_path, trace.dump(2) + "\n");
   }
   if (!do_audit) return artifacts_ok ? 0 : 1;
-  if (!stack.hier || !stack.sf || !stack.simple || !stack.sfni) {
+  for (std::size_t s = 0; s < kNumServeSchemes; ++s) {
+    if (epoch->has(static_cast<ServeScheme>(s))) continue;
     std::fprintf(stderr,
                  "serve --audit requires a full four-scheme snapshot; this one "
                  "is a subset (crtool build --schemes light)\n");
@@ -1066,9 +1076,12 @@ int cmd_serve(std::vector<std::string> args) {
 
   // --audit: the acceptance gate. Rebuild the whole stack fresh from the
   // snapshot's own graph (same naming, same ε clamp the builders use) and
-  // require every scheme's serve fingerprint to match the loaded one, then
-  // prove the container rejects a battery of truncations and bit flips.
+  // require every scheme's serve fingerprint on the restored arena to match
+  // the fresh build, the stored arena sections to equal a fresh compile of
+  // the decoded compact sections, and the container to reject a battery of
+  // truncations and bit flips.
   std::printf("\naudit: rebuilding fresh stack from the snapshot graph...\n");
+  const SnapshotStack& stack = epoch->stack();
   const MetricSpace metric(stack.graph, g_metric_options);
   const NetHierarchy hierarchy(metric);
   const Naming naming(*stack.naming);
@@ -1085,8 +1098,8 @@ int cmd_serve(std::vector<std::string> args) {
   const audit::ServeFingerprints fresh =
       audit::serve_fingerprints(metric.csr(), hierarchy, naming, hier, sf,
                                 simple, sfni, audit_pairs, seed);
-  const audit::ServeFingerprints loaded =
-      audit::serve_fingerprints(stack, audit_pairs, seed);
+  const audit::ServeFingerprints loaded = audit::serve_fingerprints(
+      epoch->csr(), epoch->arena(), audit_pairs, seed);
 
   audit::Report report;
   const auto expect_fp = [&](const char* scheme, std::uint64_t a,
@@ -1098,6 +1111,8 @@ int cmd_serve(std::vector<std::string> args) {
   expect_fp("labeled/scale-free", fresh.scale_free, loaded.scale_free);
   expect_fp("ni/simple", fresh.simple, loaded.simple);
   expect_fp("ni/scale-free", fresh.scale_free_ni, loaded.scale_free_ni);
+  const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
+  report.merge(audit::audit_snapshot_arena(bytes));
   report.merge(audit::audit_snapshot_corruption(bytes, audit::Options{}));
 
   std::printf("audit: %zu checks, %zu issues\n", report.checks,
