@@ -20,8 +20,9 @@
 //     O(1)-indexable slabs.
 //
 // The arena is a pure re-layout: the hop runtimes stepping against it take
-// byte-identical routes to the reference (nested-vector) runtimes — enforced
-// by the golden fingerprint suite in tests/test_hop_arena.cpp.
+// byte-identical routes to the nested-container reference FSMs kept as a
+// test oracle (tests/reference_hop.hpp) — enforced by the golden fingerprint
+// suite in tests/test_hop_arena.cpp.
 //
 // The slabs are also a persisted format: snapshots (format v2) store them in
 // their arena sections (io/snapshot_arena.hpp), and an epoch load restores

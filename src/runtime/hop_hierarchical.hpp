@@ -5,27 +5,31 @@
 // destination label; every step is "find the minimal ring hit, forward one
 // edge toward it" — stateless greedy descent.
 //
-// By default the scheme compiles its rings into a private HopArena and steps
-// against the flat slab (one branchless containment scan, next node's rows
-// prefetched). HopTables::kReference keeps the original nested-vector walk —
-// the golden suite proves both take byte-identical routes.
+// The runtime steps against the rings compiled into a HopArena (one
+// branchless containment scan over a flat slab, next node's rows
+// prefetched).
 //
 #include <memory>
 
-#include "labeled/hierarchical_labeled.hpp"
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
 
+class HierarchicalLabeledScheme;
+class HopArena;
+
 class HierarchicalHopScheme final : public HopScheme {
  public:
-  explicit HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme,
-                                 HopTables tables = HopTables::kArena);
-  /// Steps against a shared prebuilt arena (must carry the hier slab).
+  /// Steps against a HopArena carrying the hier slab (a snapshot-restored
+  /// epoch or a shared compile).
+  explicit HierarchicalHopScheme(std::shared_ptr<const HopArena> arena);
+  /// Compiles a private arena from the scheme.
+  explicit HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme);
+  /// Same as the arena-only constructor; the scheme is ignored. Kept for
+  /// callers that pass a stack's scheme alongside its shared arena
+  /// (crbench/src/stack.cpp).
   HierarchicalHopScheme(const HierarchicalLabeledScheme& scheme,
                         std::shared_ptr<const HopArena> arena);
-  /// Arena only — no scheme object at all (a snapshot-restored epoch).
-  explicit HierarchicalHopScheme(std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/labeled-hierarchical"; }
 
@@ -35,8 +39,7 @@ class HierarchicalHopScheme final : public HopScheme {
     return header;
   }
 
-  Decision step(NodeId at, const HopHeader& header) const override;
-  bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
+  bool step(NodeId at, HopHeader& header, NodeId* next) const override;
 
   /// Every hop is greedy ring descent toward the destination label.
   TracePhase phase_of(const HopHeader& /*header*/) const override {
@@ -44,10 +47,6 @@ class HierarchicalHopScheme final : public HopScheme {
   }
 
  private:
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const HierarchicalLabeledScheme* scheme_;
   std::shared_ptr<const HopArena> arena_;
 };
 

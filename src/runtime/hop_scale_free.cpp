@@ -1,31 +1,25 @@
 #include "runtime/hop_scale_free.hpp"
 
 #include "core/check.hpp"
-#include "nets/rnet.hpp"
+#include "labeled/scale_free_labeled.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/hop_arena.hpp"
 
 namespace compactroute {
 
-ScaleFreeHopScheme::ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
-                                       HopTables tables)
-    : scheme_(&scheme) {
-  if (tables == HopTables::kArena) {
-    arena_ = HopArena::build(scheme.hierarchy(), nullptr, nullptr, &scheme,
-                             nullptr, nullptr);
-  }
-}
-
-ScaleFreeHopScheme::ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
-                                       std::shared_ptr<const HopArena> arena)
-    : ScaleFreeHopScheme(std::move(arena)) {
-  scheme_ = &scheme;
-}
-
 ScaleFreeHopScheme::ScaleFreeHopScheme(std::shared_ptr<const HopArena> arena)
-    : scheme_(nullptr), arena_(std::move(arena)) {
+    : arena_(std::move(arena)) {
   CR_CHECK(arena_ && arena_->sf_present);
 }
+
+ScaleFreeHopScheme::ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme)
+    : ScaleFreeHopScheme(HopArena::build(scheme.hierarchy(), nullptr, nullptr,
+                                         &scheme, nullptr, nullptr)) {}
+
+ScaleFreeHopScheme::ScaleFreeHopScheme(
+    const ScaleFreeLabeledScheme& /*scheme*/,
+    std::shared_ptr<const HopArena> arena)
+    : ScaleFreeHopScheme(std::move(arena)) {}
 
 HopHeader ScaleFreeHopScheme::make_header(NodeId /*src*/,
                                           std::uint64_t dest_key) const {
@@ -53,25 +47,7 @@ TracePhase ScaleFreeHopScheme::phase_of(const HopHeader& header) const {
   return TracePhase::kForward;
 }
 
-bool ScaleFreeHopScheme::step_inplace(NodeId at, HopHeader& header,
-                                      NodeId* next) const {
-  if (arena_) return arena_step(at, header, next);
-  return HopScheme::step_inplace(at, header, next);
-}
-
-HopScheme::Decision ScaleFreeHopScheme::step(NodeId at,
-                                             const HopHeader& header) const {
-  if (arena_) {
-    Decision decision;
-    decision.header = header;
-    decision.deliver = arena_step(at, decision.header, &decision.next);
-    return decision;
-  }
-  return reference_step(at, header);
-}
-
-bool ScaleFreeHopScheme::arena_step(NodeId at, HopHeader& h,
-                                    NodeId* next) const {
+bool ScaleFreeHopScheme::step(NodeId at, HopHeader& h, NodeId* next) const {
   CR_OBS_HOT_COUNT("hop.arena.steps");
   const HopArena& a = *arena_;
   const std::size_t n = a.n;
@@ -81,6 +57,9 @@ bool ScaleFreeHopScheme::arena_step(NodeId at, HopHeader& h,
   // chains through the handoff structures can pass the destination itself.
   if (a.leaf_label[at] == dest_label) return true;
 
+  // Phase transitions that do not move the packet loop here; every exit is
+  // either delivery or one edge of movement. Escalations can chain several
+  // transitions at one node, so the budget scales with the packing depth.
   const int settle_budget = 8 * (a.sf.max_exponent + 4) + 64;
   for (int guard = 0; guard < settle_budget; ++guard) {
     switch (static_cast<Phase>(h.phase)) {
@@ -265,168 +244,6 @@ bool ScaleFreeHopScheme::arena_step(NodeId at, HopHeader& h,
   }
   CR_CHECK_MSG(false, "phase machine did not settle");
   return false;
-}
-
-HopScheme::Decision ScaleFreeHopScheme::reference_step(
-    NodeId at, const HopHeader& in) const {
-  CR_OBS_HOT_COUNT("hop.scale_free.steps");
-  const NodeId dest_label = static_cast<NodeId>(in.dest);
-  Decision decision;
-  decision.header = in;
-  HopHeader& h = decision.header;
-
-  // Per the routing model (Section 1), every relay first checks delivery —
-  // chains through the handoff structures can pass the destination itself.
-  if (scheme_->hierarchy().leaf_label(at) == dest_label) {
-    decision.deliver = true;
-    return decision;
-  }
-
-  // Phase transitions that do not move the packet loop here; every exit is
-  // either delivery or one edge of movement. Escalations can chain several
-  // transitions at one node, so the budget scales with the packing depth.
-  const int settle_budget = 8 * (scheme_->max_exponent() + 4) + 64;
-  for (int guard = 0; guard < settle_budget; ++guard) {
-    switch (static_cast<Phase>(h.phase)) {
-      case kWalk: {
-        CR_OBS_HOT_COUNT("hop.ref.ring_scans");
-        if (scheme_->hierarchy().leaf_label(at) == dest_label) {
-          decision.deliver = true;
-          return decision;
-        }
-        const auto [level, entry] = scheme_->minimal_hit(at, dest_label);
-        const Weight threshold =
-            level_radius(level) / (2 * scheme_->epsilon()) - level_radius(level);
-        if (entry->x != at && level <= h.level && entry->dist_x >= threshold) {
-          h.level = static_cast<std::int16_t>(level);
-          decision.next = entry->next_hop;
-          return decision;
-        }
-        // Handoff (Algorithm 5 line 7).
-        h.exponent = static_cast<std::int16_t>(
-            scheme_->density_exponent(at, level_radius(level)));
-        h.phase = kToCenter;
-        break;
-      }
-
-      case kToCenter: {
-        const auto& region = scheme_->region_of(h.exponent, at);
-        if (at == region.center) {
-          h.aux = region.center;   // search anchor
-          h.target = region.center;  // search cursor starts at the root
-          h.phase = kSearch;
-          break;
-        }
-        const int local = region.tree->local_id(at);
-        CR_CHECK(local >= 0);
-        decision.next = region.tree->global_id(region.tree->parent(local));
-        return decision;
-      }
-
-      case kSearch: {
-        if (at != h.target) {
-          // Riding the next-hop chain of a virtual search-tree edge
-          // (Lemma 4.3).
-          decision.next = scheme_->chain_next(at, h.target);
-          return decision;
-        }
-        CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-        const auto& region = scheme_->region_of(h.exponent, h.aux);
-        const SearchTree& search = *region.search;
-        const int local = search.tree().local_id(at);
-        CR_CHECK(local >= 0);
-        const int child = search.child_containing(local, in.dest);
-        if (child >= 0) {
-          h.target = search.tree().global_id(child);
-          break;  // next loop iteration emits the chain hop
-        }
-        SearchTree::Data data = 0;
-        if (search.holds(local, in.dest, &data)) {
-          // The stored datum IS the local routing label l(v; c, j): copy it
-          // into the header for the final tree leg.
-          const TreeLabel& label = region.router->label(static_cast<int>(data));
-          h.tree_dfs = label.dfs;
-          h.light.assign(label.light_edges.begin(), label.light_edges.end());
-          h.inner_phase = 1;
-        } else {
-          h.inner_phase = 0;
-        }
-        h.phase = kReturn;
-        // Return target: parent search node (or self if already the root).
-        const int parent = search.tree().parent(local);
-        h.target = parent < 0 ? at : search.tree().global_id(parent);
-        break;
-      }
-
-      case kReturn: {
-        if (at != h.target) {
-          decision.next = scheme_->chain_next(at, h.target);
-          return decision;
-        }
-        CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-        const auto& region = scheme_->region_of(h.exponent, h.aux);
-        if (at != region.search->tree().root_global()) {
-          const int local = region.search->tree().local_id(at);
-          CR_CHECK(local >= 0);
-          const int parent = region.search->tree().parent(local);
-          CR_CHECK(parent >= 0);
-          h.target = region.search->tree().global_id(parent);
-          break;
-        }
-        // Back at the center (search root).
-        if (h.inner_phase == 1) {
-          h.phase = kToDest;
-          break;
-        }
-        if (h.exponent < scheme_->max_exponent()) {
-          // Escalation guard: retry one packing level coarser.
-          h.exponent = static_cast<std::int16_t>(h.exponent + 1);
-          h.phase = kToCenter;
-          break;
-        }
-        // Final fallback: visit the other top-level centers in order.
-        const auto& peers = scheme_->regions(scheme_->max_exponent());
-        std::size_t k = static_cast<std::size_t>(h.inner);
-        while (k < peers.size() && peers[k].center == at) ++k;
-        CR_CHECK_MSG(k < peers.size(),
-                     "top-level cells jointly index every node");
-        h.inner = k + 1;
-        h.aux = peers[k].center;
-        h.target = peers[k].center;
-        h.phase = kFallbackMove;
-        break;
-      }
-
-      case kFallbackMove: {
-        if (at != h.target) {
-          decision.next = scheme_->chain_next(at, h.target);
-          return decision;
-        }
-        h.phase = kSearch;  // target == aux == this center (the search root)
-        break;
-      }
-
-      case kToDest: {
-        CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-        const auto& region = scheme_->region_of(h.exponent, h.aux);
-        const int local = region.tree->local_id(at);
-        CR_CHECK(local >= 0);
-        TreeLabel label;
-        label.dfs = h.tree_dfs;
-        label.light_edges.assign(h.light.begin(), h.light.end());
-        const int next_local = region.router->step(local, label);
-        if (next_local == local) {
-          CR_CHECK(scheme_->hierarchy().leaf_label(at) == dest_label);
-          decision.deliver = true;
-          return decision;
-        }
-        decision.next = region.tree->global_id(next_local);
-        return decision;
-      }
-    }
-  }
-  CR_CHECK_MSG(false, "phase machine did not settle");
-  return decision;
 }
 
 }  // namespace compactroute

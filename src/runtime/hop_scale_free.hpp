@@ -15,18 +15,19 @@
 //               the header by the search-tree holder (Algorithm 5 line 9)
 //
 // Every decision uses only node-local tables: ring hits, region-tree parent
-// pointers, search-tree child ranges/chunks, and compact-tree-router state —
-// by default read from the flat HopArena slabs (HopTables::kReference keeps
-// the original container walks; routes are byte-identical either way).
+// pointers, search-tree child ranges/chunks, and compact-tree-router state,
+// all read from the flat HopArena slabs.
 //
 #include <cstdint>
 #include <limits>
 #include <memory>
 
-#include "labeled/scale_free_labeled.hpp"
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
+
+class HopArena;
+class ScaleFreeLabeledScheme;
 
 class ScaleFreeHopScheme final : public HopScheme {
  public:
@@ -34,19 +35,21 @@ class ScaleFreeHopScheme final : public HopScheme {
   static constexpr std::int16_t kNoPrevLevel =
       std::numeric_limits<std::int16_t>::max();
 
-  explicit ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
-                              HopTables tables = HopTables::kArena);
-  /// Shared prebuilt arena (must carry the scale-free slab).
+  /// Steps against a HopArena carrying the scale-free slab (a
+  /// snapshot-restored epoch or a shared compile).
+  explicit ScaleFreeHopScheme(std::shared_ptr<const HopArena> arena);
+  /// Compiles a private arena from the scheme.
+  explicit ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme);
+  /// Same as the arena-only constructor; the scheme is ignored. Kept for
+  /// callers that pass a stack's scheme alongside its shared arena
+  /// (crbench/src/stack.cpp).
   ScaleFreeHopScheme(const ScaleFreeLabeledScheme& scheme,
                      std::shared_ptr<const HopArena> arena);
-  /// Arena only — no scheme object at all (a snapshot-restored epoch).
-  explicit ScaleFreeHopScheme(std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/labeled-scale-free"; }
 
   HopHeader make_header(NodeId src, std::uint64_t dest_key) const override;
-  Decision step(NodeId at, const HopHeader& header) const override;
-  bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
+  bool step(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
  private:
@@ -61,10 +64,6 @@ class ScaleFreeHopScheme final : public HopScheme {
     kToDest = 5,
   };
 
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const ScaleFreeLabeledScheme* scheme_;
   std::shared_ptr<const HopArena> arena_;
 };
 

@@ -1,41 +1,32 @@
 #include "runtime/hop_scale_free_ni.hpp"
 
 #include "core/check.hpp"
+#include "labeled/scale_free_labeled.hpp"
+#include "nameind/scale_free_nameind.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/hop_arena.hpp"
 
 namespace compactroute {
 
 ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
-    const ScaleFreeNameIndependentScheme& scheme,
-    const ScaleFreeLabeledScheme& underlying, HopTables tables)
-    : scheme_(&scheme),
-      underlying_(&underlying),
-      arena_(tables == HopTables::kArena
-                 ? HopArena::build(underlying.hierarchy(), &scheme.naming(),
-                                   nullptr, &underlying, nullptr, &scheme)
-                 : nullptr),
-      inner_(arena_ ? ScaleFreeHopScheme(underlying, arena_)
-                    : ScaleFreeHopScheme(underlying, HopTables::kReference)) {}
-
-ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
-    const ScaleFreeNameIndependentScheme& scheme,
-    const ScaleFreeLabeledScheme& underlying,
     std::shared_ptr<const HopArena> arena)
-    : ScaleFreeNameIndependentHopScheme(std::move(arena)) {
-  scheme_ = &scheme;
-  underlying_ = &underlying;
-}
-
-ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
-    std::shared_ptr<const HopArena> arena)
-    : scheme_(nullptr),
-      underlying_(nullptr),
-      arena_(std::move(arena)),
-      inner_(arena_) {
+    : arena_(std::move(arena)), inner_(arena_) {
   CR_CHECK(arena_ && arena_->sf_present && arena_->sfni_present);
   CR_CHECK(arena_->name_of.size() == arena_->n);
 }
+
+ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
+    const ScaleFreeNameIndependentScheme& scheme,
+    const ScaleFreeLabeledScheme& underlying)
+    : ScaleFreeNameIndependentHopScheme(
+          HopArena::build(underlying.hierarchy(), &scheme.naming(), nullptr,
+                          &underlying, nullptr, &scheme)) {}
+
+ScaleFreeNameIndependentHopScheme::ScaleFreeNameIndependentHopScheme(
+    const ScaleFreeNameIndependentScheme& /*scheme*/,
+    const ScaleFreeLabeledScheme& /*underlying*/,
+    std::shared_ptr<const HopArena> arena)
+    : ScaleFreeNameIndependentHopScheme(std::move(arena)) {}
 
 HopHeader ScaleFreeNameIndependentHopScheme::make_header(
     NodeId src, std::uint64_t dest_key) const {
@@ -47,15 +38,7 @@ HopHeader ScaleFreeNameIndependentHopScheme::make_header(
   return header;
 }
 
-void ScaleFreeNameIndependentHopScheme::start_ride(HopHeader& header, NodeId at,
-                                                   NodeId label,
-                                                   Continuation continuation) const {
-  (void)at;
-  header.inner_phase = continuation;
-  header.nested = std::make_unique<HopHeader>(inner_.make_header(at, label));
-}
-
-void ScaleFreeNameIndependentHopScheme::arena_start_ride(
+void ScaleFreeNameIndependentHopScheme::start_ride(
     HopHeader& header, NodeId label, Continuation continuation) const {
   header.inner_phase = continuation;
   if (!header.nested) header.nested = std::make_unique<HopHeader>();
@@ -91,26 +74,8 @@ TracePhase ScaleFreeNameIndependentHopScheme::phase_of(
   return TracePhase::kForward;
 }
 
-bool ScaleFreeNameIndependentHopScheme::step_inplace(NodeId at,
-                                                     HopHeader& header,
-                                                     NodeId* next) const {
-  if (arena_) return arena_step(at, header, next);
-  return HopScheme::step_inplace(at, header, next);
-}
-
-HopScheme::Decision ScaleFreeNameIndependentHopScheme::step(
-    NodeId at, const HopHeader& header) const {
-  if (arena_) {
-    Decision decision;
-    decision.header = header;
-    decision.deliver = arena_step(at, decision.header, &decision.next);
-    return decision;
-  }
-  return reference_step(at, header);
-}
-
-bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
-                                                   NodeId* next) const {
+bool ScaleFreeNameIndependentHopScheme::step(NodeId at, HopHeader& h,
+                                             NodeId* next) const {
   CR_OBS_HOT_COUNT("hop.arena.steps");
   const HopArena& a = *arena_;
   const std::size_t n = a.n;
@@ -122,7 +87,7 @@ bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
       if (a.leaf_label[at] == static_cast<NodeId>(h.nested->dest)) {
         h.phase = 0;  // arrived; fall through to the continuation
       } else {
-        const bool delivered = inner_.step_inplace(at, *h.nested, next);
+        const bool delivered = inner_.step(at, *h.nested, next);
         CR_CHECK_MSG(!delivered, "arrival is checked before stepping");
         return false;
       }
@@ -141,7 +106,7 @@ bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
         CR_CHECK(root != kInvalidNode);
         h.extra = root;
         // Algorithm 4: "go to c from u" when the level is delegated.
-        arena_start_ride(h, a.leaf_label[root], kAtRoot);
+        start_ride(h, a.leaf_label[root], kAtRoot);
         break;
       }
 
@@ -160,7 +125,7 @@ bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
         if (child != HopArena::TreeBank::npos) {
           const NodeId next_node = a.trees.child_global[child];
           h.target = next_node;
-          arena_start_ride(h, a.leaf_label[next_node], kSearchNode);
+          start_ride(h, a.leaf_label[next_node], kSearchNode);
           break;
         }
         std::uint64_t found_label = 0;
@@ -173,7 +138,7 @@ bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
         const NodeId parent = a.trees.parent_global[row];
         const NodeId up = parent == kInvalidNode ? at : parent;
         h.target = up;
-        arena_start_ride(h, a.leaf_label[up], kSearchBack);
+        start_ride(h, a.leaf_label[up], kSearchBack);
         break;
       }
 
@@ -186,18 +151,18 @@ bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
           const NodeId up = a.trees.parent_global[row];
           CR_CHECK(up != kInvalidNode);
           h.target = up;
-          arena_start_ride(h, a.leaf_label[up], kSearchBack);
+          start_ride(h, a.leaf_label[up], kSearchBack);
           break;
         }
         // At the structure root: go back from c to u (Algorithm 4 line 7).
-        arena_start_ride(h, a.leaf_label[h.aux], kBackAtAnchor);
+        start_ride(h, a.leaf_label[h.aux], kBackAtAnchor);
         break;
       }
 
       case kBackAtAnchor: {
         if (h.exponent == 1) {
           h.inner = h.tree_dfs;
-          arena_start_ride(h, h.tree_dfs, kDeliver);
+          start_ride(h, h.tree_dfs, kDeliver);
           break;
         }
         CR_CHECK_MSG(h.level < a.top_level,
@@ -206,128 +171,13 @@ bool ScaleFreeNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
             a.net_parent[static_cast<std::size_t>(h.level) * n + at];
         h.level = static_cast<std::int16_t>(h.level + 1);
         h.aux = up;
-        arena_start_ride(h, a.leaf_label[up], kAtAnchor);
+        start_ride(h, a.leaf_label[up], kAtAnchor);
         break;
       }
     }
   }
   CR_CHECK_MSG(false, "phase machine did not settle");
   return false;
-}
-
-HopScheme::Decision ScaleFreeNameIndependentHopScheme::reference_step(
-    NodeId at, const HopHeader& in) const {
-  CR_OBS_HOT_COUNT("hop.scale_free_ni.steps");
-  const NetHierarchy& hierarchy = scheme_->hierarchy();
-  Decision decision;
-  decision.header = in;
-  HopHeader& h = decision.header;
-
-  const int settle_budget = 8 * (hierarchy.top_level() + 4) + 64;
-  for (int guard = 0; guard < settle_budget; ++guard) {
-    // A ride of the inner labeled machine is in progress.
-    if (h.nested) {
-      if (hierarchy.leaf_label(at) == static_cast<NodeId>(h.nested->dest)) {
-        h.nested.reset();  // arrived; fall through to the continuation
-      } else {
-        Decision inner_decision = inner_.step(at, *h.nested);
-        CR_CHECK_MSG(!inner_decision.deliver, "arrival is checked before stepping");
-        *h.nested = std::move(inner_decision.header);
-        decision.next = inner_decision.next;
-        return decision;
-      }
-    }
-
-    switch (static_cast<Continuation>(h.inner_phase)) {
-      case kDeliver: {
-        CR_CHECK(scheme_->naming().name_of(at) == h.dest);
-        decision.deliver = true;
-        return decision;
-      }
-
-      case kAtAnchor: {
-        if (scheme_->naming().name_of(at) == h.dest) {
-          decision.deliver = true;
-          return decision;
-        }
-        NodeId root = kInvalidNode;
-        scheme_->search_structure(h.level, h.aux, &root);
-        h.extra = root;
-        // Algorithm 4: "go to c from u" when the level is delegated.
-        start_ride(h, at, underlying_->label(root), kAtRoot);
-        break;
-      }
-
-      case kAtRoot: {
-        h.target = at;  // the search cursor starts at the root
-        h.inner_phase = kSearchNode;
-        break;
-      }
-
-      case kSearchNode: {
-        CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-        const SearchTree& tree =
-            scheme_->search_structure(h.level, h.aux, nullptr);
-        const int local = tree.tree().local_id(at);
-        CR_CHECK(local >= 0);
-        const int child = tree.child_containing(local, h.dest);
-        if (child >= 0) {
-          const NodeId next_node = tree.tree().global_id(child);
-          h.target = next_node;
-          start_ride(h, at, underlying_->label(next_node), kSearchNode);
-          break;
-        }
-        SearchTree::Data found_label = 0;
-        if (tree.holds(local, h.dest, &found_label)) {
-          h.tree_dfs = static_cast<NodeId>(found_label);
-          h.exponent = 1;
-        } else {
-          h.exponent = 0;
-        }
-        const int parent = tree.tree().parent(local);
-        const NodeId up = parent < 0 ? at : tree.tree().global_id(parent);
-        h.target = up;
-        start_ride(h, at, underlying_->label(up), kSearchBack);
-        break;
-      }
-
-      case kSearchBack: {
-        if (at != h.extra) {
-          CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-          const SearchTree& tree =
-              scheme_->search_structure(h.level, h.aux, nullptr);
-          const int local = tree.tree().local_id(at);
-          CR_CHECK(local >= 0);
-          const int parent = tree.tree().parent(local);
-          CR_CHECK(parent >= 0);
-          const NodeId up = tree.tree().global_id(parent);
-          h.target = up;
-          start_ride(h, at, underlying_->label(up), kSearchBack);
-          break;
-        }
-        // At the structure root: go back from c to u (Algorithm 4 line 7).
-        start_ride(h, at, underlying_->label(h.aux), kBackAtAnchor);
-        break;
-      }
-
-      case kBackAtAnchor: {
-        if (h.exponent == 1) {
-          h.inner = h.tree_dfs;
-          start_ride(h, at, h.tree_dfs, kDeliver);
-          break;
-        }
-        CR_CHECK_MSG(h.level < hierarchy.top_level(),
-                     "the top search ball covers the whole graph");
-        const NodeId up = hierarchy.netting_parent(h.level, at);
-        h.level = static_cast<std::int16_t>(h.level + 1);
-        h.aux = up;
-        start_ride(h, at, underlying_->label(up), kAtAnchor);
-        break;
-      }
-    }
-  }
-  CR_CHECK_MSG(false, "phase machine did not settle");
-  return decision;
 }
 
 }  // namespace compactroute

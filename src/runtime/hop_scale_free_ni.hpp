@@ -19,47 +19,48 @@
 //   tree_dfs    — the retrieved routing label l(v) (once found)
 //   inner_phase — continuation after the current ride arrives
 //   nested      — the inner ScaleFreeHopScheme header (ride in progress)
-//   phase       — arena mode only: 1 while a ride is active (the reference
-//                 machine signals the same thing by resetting `nested`; the
-//                 arena keeps the nested header allocated and reuses it, so
-//                 rides cost zero allocations)
+//   phase       — 1 while a ride is active. The nested header stays
+//                 allocated between rides and is reset in place, so rides
+//                 cost zero allocations. Header metering still counts it on
+//                 every emitted hop: each one happens mid-ride.
 //
-// By default both machines step against a shared HopArena;
-// HopTables::kReference keeps the original container walks. Routes are
-// byte-identical either way (golden suite). Header metering is unaffected:
-// every *emitted* hop happens mid-ride, where both modes carry the nested
-// header.
+// Both machines step against one shared HopArena.
 //
 #include <memory>
 
-#include "labeled/scale_free_labeled.hpp"
-#include "nameind/scale_free_nameind.hpp"
 #include "runtime/hop_scale_free.hpp"
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
 
+class HopArena;
+class ScaleFreeLabeledScheme;
+class ScaleFreeNameIndependentScheme;
+
 class ScaleFreeNameIndependentHopScheme final : public HopScheme {
  public:
+  /// Steps against a HopArena carrying the sf + sfni slabs (a
+  /// snapshot-restored epoch or a shared compile). The inner labeled machine
+  /// steps against the same arena.
+  explicit ScaleFreeNameIndependentHopScheme(
+      std::shared_ptr<const HopArena> arena);
+  /// Compiles a private arena; `underlying` must be the same scheme the NI
+  /// scheme was built over.
   ScaleFreeNameIndependentHopScheme(const ScaleFreeNameIndependentScheme& scheme,
-                                    const ScaleFreeLabeledScheme& underlying,
-                                    HopTables tables = HopTables::kArena);
-  /// Shared prebuilt arena (must carry the sf + sfni slabs). The inner
-  /// labeled machine steps against the same arena.
+                                    const ScaleFreeLabeledScheme& underlying);
+  /// Same as the arena-only constructor; the schemes are ignored. Kept for
+  /// callers that pass a stack's schemes alongside its shared arena
+  /// (crbench/src/stack.cpp).
   ScaleFreeNameIndependentHopScheme(const ScaleFreeNameIndependentScheme& scheme,
                                     const ScaleFreeLabeledScheme& underlying,
                                     std::shared_ptr<const HopArena> arena);
-  /// Arena only — no scheme object at all (a snapshot-restored epoch).
-  explicit ScaleFreeNameIndependentHopScheme(
-      std::shared_ptr<const HopArena> arena);
 
   std::string name() const override {
     return "hop/name-independent-scale-free";
   }
 
   HopHeader make_header(NodeId src, std::uint64_t dest_key) const override;
-  Decision step(NodeId at, const HopHeader& header) const override;
-  bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
+  bool step(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
  private:
@@ -72,20 +73,12 @@ class ScaleFreeNameIndependentHopScheme final : public HopScheme {
     kDeliver = 5,     // final leg arrived
   };
 
-  /// Begins a ride of the inner scheme toward `label` (reference mode:
-  /// fresh nested header).
-  void start_ride(HopHeader& header, NodeId at, NodeId label,
+  /// Begins a ride of the inner scheme toward `label`: the nested header is
+  /// reset in place to field-for-field what inner_.make_header produces, no
+  /// allocation.
+  void start_ride(HopHeader& header, NodeId label,
                   Continuation continuation) const;
-  /// Arena mode: same transition, but the nested header is reset in place —
-  /// field-for-field what inner_.make_header produces, no allocation.
-  void arena_start_ride(HopHeader& header, NodeId label,
-                        Continuation continuation) const;
 
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const ScaleFreeNameIndependentScheme* scheme_;
-  const ScaleFreeLabeledScheme* underlying_;
   std::shared_ptr<const HopArena> arena_;  // before inner_: it rides on this
   ScaleFreeHopScheme inner_;
 };

@@ -41,17 +41,9 @@ std::size_t HopHeader::encoded_bits(std::size_t n, int num_levels) const {
          (nested ? nested->encoded_bits(n, num_levels) : 0);
 }
 
-bool HopScheme::step_inplace(NodeId at, HopHeader& header, NodeId* next) const {
-  Decision decision = step(at, header);
-  if (decision.deliver) return true;
-  header = std::move(decision.header);
-  *next = decision.next;
-  return false;
-}
-
 HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId src,
                     std::uint64_t dest_key, std::size_t max_hops) {
-  if (max_hops == 0) max_hops = 64 * metric.n() + 1024;
+  if (max_hops == 0) max_hops = default_hop_budget(metric.n());
   HopRun run;
   run.path.push_back(src);
 #ifndef CR_OBS_DISABLED
@@ -63,28 +55,27 @@ HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId s
   run.max_header_bits = run.initial_header_bits;
 
   NodeId at = src;
+  NodeId next = kInvalidNode;
   for (std::size_t hop = 0; hop <= max_hops; ++hop) {
-    const HopScheme::Decision decision = scheme.step(at, header);
-    if (decision.deliver) {
+    if (scheme.step(at, header, &next)) {
       run.delivered = true;
       CR_OBS_COUNT("runtime.routes");
       return run;
     }
     // The forwarding model: the next node must be a physical neighbor.
-    const Weight edge = metric.graph().edge_weight(at, decision.next);
+    const Weight edge = metric.graph().edge_weight(at, next);
     CR_CHECK_MSG(edge < kInfiniteWeight,
                  "scheme forwarded to a non-neighbor — locality violation");
     const Weight hop_cost = edge / metric.normalization_scale();
     run.cost += hop_cost;
-    header = decision.header;
     const std::size_t bits = header.encoded_bits(metric.n(), metric.num_levels());
     run.max_header_bits = std::max(run.max_header_bits, bits);
 #ifndef CR_OBS_DISABLED
     run.trace.hops.push_back(
-        TraceHop{at, decision.next, hop_cost, scheme.phase_of(header), bits});
+        TraceHop{at, next, hop_cost, scheme.phase_of(header), bits});
     CR_OBS_COUNT("runtime.hops");
 #endif
-    at = decision.next;
+    at = next;
     run.path.push_back(at);
   }
   CR_CHECK_MSG(false, "hop budget exhausted — scheme did not converge");

@@ -24,14 +24,6 @@
 
 namespace compactroute {
 
-class HopArena;
-
-/// Which per-node tables a hop scheme steps against: the serve-time arena
-/// (contiguous flat slabs, the default) or the schemes' own build-time
-/// nested containers (the reference FSMs the golden suite compares against).
-/// Both take byte-identical routes.
-enum class HopTables { kArena, kReference };
-
 /// Generic bounded packet header. Schemes assign meaning to the fields; all
 /// of them are polylog-sized (ids, levels, phases). encoded_bits() is the
 /// exact wire size for the given universe.
@@ -72,21 +64,11 @@ class HopScheme {
   /// Header the source attaches for destination key `dest_key`.
   virtual HopHeader make_header(NodeId src, std::uint64_t dest_key) const = 0;
 
-  struct Decision {
-    bool deliver = false;
-    NodeId next = kInvalidNode;
-    HopHeader header;
-  };
-
   /// One forwarding decision, a pure function of (at, header) and the tables
-  /// of node `at`.
-  virtual Decision step(NodeId at, const HopHeader& header) const = 0;
-
-  /// Same decision, mutating `header` in place: returns true to deliver,
-  /// else writes the next hop to *next. The serve loop uses this form —
-  /// arena-backed schemes override it allocation-free; the default wraps
-  /// step().
-  virtual bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const;
+  /// of node `at`, mutating `header` in place: returns true to deliver, else
+  /// writes the next hop to *next. The arena-backed runtimes step with zero
+  /// allocations.
+  virtual bool step(NodeId at, HopHeader& header, NodeId* next) const = 0;
 
   /// Telemetry classification of a hop taken while `header` is in flight —
   /// which phase of the scheme's state machine the hop serves. A pure
@@ -97,6 +79,10 @@ class HopScheme {
     return TracePhase::kForward;
   }
 };
+
+/// Hop budget when a caller passes max_hops = 0: generous enough for every
+/// scheme's longest legal walk, tight enough to catch a scheme that loops.
+inline std::size_t default_hop_budget(std::size_t n) { return 64 * n + 1024; }
 
 struct HopRun {
   bool delivered = false;

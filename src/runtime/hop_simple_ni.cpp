@@ -1,36 +1,31 @@
 #include "runtime/hop_simple_ni.hpp"
 
 #include "core/check.hpp"
+#include "nameind/simple_nameind.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/hop_arena.hpp"
 
 namespace compactroute {
 
 SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
-    const SimpleNameIndependentScheme& scheme,
-    const HierarchicalLabeledScheme& underlying, HopTables tables)
-    : scheme_(&scheme), underlying_(&underlying) {
-  if (tables == HopTables::kArena) {
-    arena_ = HopArena::build(scheme.hierarchy(), &scheme.naming(), &underlying,
-                             nullptr, &scheme, nullptr);
-  }
-}
-
-SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
-    const SimpleNameIndependentScheme& scheme,
-    const HierarchicalLabeledScheme& underlying,
     std::shared_ptr<const HopArena> arena)
-    : SimpleNameIndependentHopScheme(std::move(arena)) {
-  scheme_ = &scheme;
-  underlying_ = &underlying;
-}
-
-SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
-    std::shared_ptr<const HopArena> arena)
-    : scheme_(nullptr), underlying_(nullptr), arena_(std::move(arena)) {
+    : arena_(std::move(arena)) {
   CR_CHECK(arena_ && arena_->hier_present && arena_->simple_present);
   CR_CHECK(arena_->name_of.size() == arena_->n);
 }
+
+SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
+    const SimpleNameIndependentScheme& scheme,
+    const HierarchicalLabeledScheme& underlying)
+    : SimpleNameIndependentHopScheme(
+          HopArena::build(scheme.hierarchy(), &scheme.naming(), &underlying,
+                          nullptr, &scheme, nullptr)) {}
+
+SimpleNameIndependentHopScheme::SimpleNameIndependentHopScheme(
+    const SimpleNameIndependentScheme& /*scheme*/,
+    const HierarchicalLabeledScheme& /*underlying*/,
+    std::shared_ptr<const HopArena> arena)
+    : SimpleNameIndependentHopScheme(std::move(arena)) {}
 
 HopHeader SimpleNameIndependentHopScheme::make_header(
     NodeId src, std::uint64_t dest_key) const {
@@ -38,8 +33,7 @@ HopHeader SimpleNameIndependentHopScheme::make_header(
   header.dest = dest_key;
   header.level = 0;
   header.aux = src;  // u(0) = the source itself
-  header.inner = arena_ ? std::uint64_t{arena_->leaf_label[src]}
-                        : underlying_->label(src);
+  header.inner = arena_->leaf_label[src];
   header.inner_phase = kAtAnchor;
   return header;
 }
@@ -60,29 +54,14 @@ TracePhase SimpleNameIndependentHopScheme::phase_of(
   return TracePhase::kForward;
 }
 
-bool SimpleNameIndependentHopScheme::step_inplace(NodeId at, HopHeader& header,
-                                                  NodeId* next) const {
-  if (arena_) return arena_step(at, header, next);
-  return HopScheme::step_inplace(at, header, next);
-}
-
-HopScheme::Decision SimpleNameIndependentHopScheme::step(
-    NodeId at, const HopHeader& header) const {
-  if (arena_) {
-    Decision decision;
-    decision.header = header;
-    decision.deliver = arena_step(at, decision.header, &decision.next);
-    return decision;
-  }
-  return reference_step(at, header);
-}
-
-bool SimpleNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
-                                                NodeId* next) const {
+bool SimpleNameIndependentHopScheme::step(NodeId at, HopHeader& h,
+                                          NodeId* next) const {
   CR_OBS_HOT_COUNT("hop.arena.steps");
   const HopArena& a = *arena_;
   const std::size_t n = a.n;
 
+  // Several levels can be processed at one physical node (tiny search trees
+  // answer at their root), so the settle budget scales with the hierarchy.
   const int settle_budget = 8 * (a.top_level + 4) + 64;
   for (int guard = 0; guard < settle_budget; ++guard) {
     // Riding: one greedy ring step of the underlying scheme.
@@ -168,120 +147,6 @@ bool SimpleNameIndependentHopScheme::arena_step(NodeId at, HopHeader& h,
   }
   CR_CHECK_MSG(false, "phase machine did not settle");
   return false;
-}
-
-HopScheme::Decision SimpleNameIndependentHopScheme::reference_step(
-    NodeId at, const HopHeader& in) const {
-  CR_OBS_HOT_COUNT("hop.simple_ni.steps");
-  const NetHierarchy& hierarchy = scheme_->hierarchy();
-  Decision decision;
-  decision.header = in;
-  HopHeader& h = decision.header;
-
-  // Several levels can be processed at one physical node (tiny search trees
-  // answer at their root), so the settle budget scales with the hierarchy.
-  const int settle_budget = 8 * (hierarchy.top_level() + 4) + 64;
-  for (int guard = 0; guard < settle_budget; ++guard) {
-    // Riding: while the inner labeled target is not reached, take one greedy
-    // ring step of the underlying scheme.
-    if (hierarchy.leaf_label(at) != static_cast<NodeId>(h.inner)) {
-      CR_OBS_HOT_COUNT("hop.ref.ring_scans");
-      for (int level = 0;; ++level) {
-        CR_CHECK(level <= hierarchy.top_level());
-        bool stepped = false;
-        for (const auto& entry : underlying_->rings(at)[level]) {
-          if (entry.range.contains(static_cast<NodeId>(h.inner))) {
-            CR_CHECK(entry.x != at);
-            decision.next = entry.next_hop;
-            stepped = true;
-            break;
-          }
-        }
-        if (stepped) break;
-      }
-      return decision;
-    }
-
-    // The ride arrived: advance the outer (name-independent) machine.
-    switch (static_cast<Continuation>(h.inner_phase)) {
-      case kDeliver: {
-        CR_CHECK(scheme_->naming().name_of(at) == h.dest);
-        decision.deliver = true;
-        return decision;
-      }
-
-      case kAtAnchor: {
-        if (scheme_->naming().name_of(at) == h.dest) {
-          decision.deliver = true;
-          return decision;
-        }
-        // Start the local search at the root (the anchor itself).
-        h.target = h.aux;
-        h.inner_phase = kSearchNode;
-        break;
-      }
-
-      case kSearchNode: {
-        CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-        const SearchTree& tree = scheme_->level_tree(h.level, h.aux);
-        const int local = tree.tree().local_id(at);
-        CR_CHECK(local >= 0);
-        const int child = tree.child_containing(local, h.dest);
-        if (child >= 0) {
-          const NodeId next_node = tree.tree().global_id(child);
-          h.target = next_node;
-          h.inner = underlying_->label(next_node);
-          break;  // ride one virtual edge down
-        }
-        SearchTree::Data found_label = 0;
-        if (tree.holds(local, h.dest, &found_label)) {
-          h.tree_dfs = static_cast<NodeId>(found_label);  // remember l(v)
-          h.exponent = 1;                                 // "found" flag
-        } else {
-          h.exponent = 0;
-        }
-        // Report back toward the root (Algorithm 2 line 10).
-        const int parent = tree.tree().parent(local);
-        const NodeId up = parent < 0 ? at : tree.tree().global_id(parent);
-        h.target = up;
-        h.inner = underlying_->label(up);
-        h.inner_phase = kSearchBack;
-        break;
-      }
-
-      case kSearchBack: {
-        if (at != h.aux) {
-          CR_OBS_HOT_COUNT("hop.ref.tree_reads");
-          const SearchTree& tree = scheme_->level_tree(h.level, h.aux);
-          const int local = tree.tree().local_id(at);
-          CR_CHECK(local >= 0);
-          const int parent = tree.tree().parent(local);
-          CR_CHECK(parent >= 0);
-          const NodeId up = tree.tree().global_id(parent);
-          h.target = up;
-          h.inner = underlying_->label(up);
-          break;
-        }
-        // Back at the anchor u(level).
-        if (h.exponent == 1) {
-          h.inner = h.tree_dfs;  // the retrieved label l(v)
-          h.inner_phase = kDeliver;
-          break;
-        }
-        // Climb to u(level+1) — its label is stored along the netting tree.
-        CR_CHECK_MSG(h.level < hierarchy.top_level(),
-                     "top search ball covers the whole graph");
-        const NodeId up = hierarchy.netting_parent(h.level, at);
-        h.level = static_cast<std::int16_t>(h.level + 1);
-        h.aux = up;
-        h.inner = underlying_->label(up);
-        h.inner_phase = kAtAnchor;
-        break;
-      }
-    }
-  }
-  CR_CHECK_MSG(false, "phase machine did not settle");
-  return decision;
 }
 
 }  // namespace compactroute

@@ -17,36 +17,39 @@
 //   inner_phase — continuation after the ride arrives
 //   tree_dfs    — the retrieved routing label l(v) (once found)
 //
-// By default both machines step against a HopArena (flat ring slab + packed
-// search-tree bank); HopTables::kReference keeps the original container
-// walks. Byte-identical routes either way (golden suite).
+// Both machines step against a HopArena (flat ring slab + packed
+// search-tree bank).
 //
 #include <memory>
 
-#include "labeled/hierarchical_labeled.hpp"
-#include "nameind/simple_nameind.hpp"
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
 
+class HierarchicalLabeledScheme;
+class HopArena;
+class SimpleNameIndependentScheme;
+
 class SimpleNameIndependentHopScheme final : public HopScheme {
  public:
-  /// `underlying` must be the same scheme the NI scheme was built over.
+  /// Steps against a HopArena carrying the hier + simple slabs (a
+  /// snapshot-restored epoch or a shared compile).
+  explicit SimpleNameIndependentHopScheme(std::shared_ptr<const HopArena> arena);
+  /// Compiles a private arena; `underlying` must be the same scheme the NI
+  /// scheme was built over.
   SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& scheme,
-                                 const HierarchicalLabeledScheme& underlying,
-                                 HopTables tables = HopTables::kArena);
-  /// Shared prebuilt arena (must carry the hier + simple slabs).
+                                 const HierarchicalLabeledScheme& underlying);
+  /// Same as the arena-only constructor; the schemes are ignored. Kept for
+  /// callers that pass a stack's schemes alongside its shared arena
+  /// (crbench/src/stack.cpp).
   SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& scheme,
                                  const HierarchicalLabeledScheme& underlying,
                                  std::shared_ptr<const HopArena> arena);
-  /// Arena only — no scheme object at all (a snapshot-restored epoch).
-  explicit SimpleNameIndependentHopScheme(std::shared_ptr<const HopArena> arena);
 
   std::string name() const override { return "hop/name-independent-simple"; }
 
   HopHeader make_header(NodeId src, std::uint64_t dest_key) const override;
-  Decision step(NodeId at, const HopHeader& header) const override;
-  bool step_inplace(NodeId at, HopHeader& header, NodeId* next) const override;
+  bool step(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
  private:
@@ -59,11 +62,6 @@ class SimpleNameIndependentHopScheme final : public HopScheme {
     kDeliver = 3,     // final leg: arrived at the destination
   };
 
-  Decision reference_step(NodeId at, const HopHeader& header) const;
-  bool arena_step(NodeId at, HopHeader& header, NodeId* next) const;
-
-  const SimpleNameIndependentScheme* scheme_;
-  const HierarchicalLabeledScheme* underlying_;
   std::shared_ptr<const HopArena> arena_;
 };
 

@@ -51,7 +51,7 @@ std::vector<ServeRequest> make_requests(
 
 std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
                         const ServeRequest& request, std::size_t max_hops,
-                        std::size_t* hops, bool* delivered) {
+                        std::size_t* hops) {
   constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
   NodeId at = request.src;
   HopHeader header = scheme.make_header(request.src, request.dest_key);
@@ -60,9 +60,9 @@ std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
   bool done = false;
   NodeId next = kInvalidNode;
   while (hop_count <= max_hops) {
-    // In-place stepping: arena-backed schemes mutate the header with zero
-    // allocations; reference schemes fall back to a step() copy internally.
-    if (scheme.step_inplace(at, header, &next)) {
+    // In-place stepping: the arena runtimes mutate the header with zero
+    // allocations.
+    if (scheme.step(at, header, &next)) {
       done = true;
       break;
     }
@@ -83,7 +83,6 @@ std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
   }
   CR_CHECK_MSG(done, "serve: hop budget exceeded");
   if (hops != nullptr) *hops = hop_count;
-  if (delivered != nullptr) *delivered = done;
   return fp;
 }
 
@@ -97,7 +96,7 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
   const std::size_t count = requests.size();
   const std::size_t n = csr.num_nodes();
   const std::size_t max_hops =
-      options.max_hops != 0 ? options.max_hops : 64 * n + 1024;
+      options.max_hops != 0 ? options.max_hops : default_hop_budget(n);
 
   // Per-request output slots, preallocated so workers write disjoint state
   // and the hop loop itself never allocates.
@@ -140,7 +139,7 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
           options.collect_latencies ? Clock::now() : Clock::time_point{};
       std::size_t hops = 0;
       fingerprints[i] =
-          serve_one(csr, scheme, requests[i], max_hops, &hops, nullptr);
+          serve_one(csr, scheme, requests[i], max_hops, &hops);
       hop_counts[i] = static_cast<std::uint32_t>(hops);
       double lat_us = 0;
       if (options.collect_latencies) {

@@ -34,7 +34,7 @@ struct ServeRequest {
 };
 
 struct ServeOptions {
-  /// 0 means the execute_hops default budget of 64 n + 1024.
+  /// 0 means default_hop_budget(n).
   std::size_t max_hops = 0;
   /// Record per-request wall-clock latency (steady_clock, microseconds).
   /// Costs two clock reads per request; disable for pure-throughput runs.
@@ -88,10 +88,11 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
                        const ServeOptions& options = {});
 
 /// Fingerprint of one request's route (the serve_batch inner loop, exposed
-/// so audits can compare individual routes); outputs the hop count.
+/// so audits can compare individual routes); outputs the hop count. Throws
+/// InvariantError unless the route is delivered within max_hops.
 std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
                         const ServeRequest& request, std::size_t max_hops,
-                        std::size_t* hops, bool* delivered);
+                        std::size_t* hops);
 
 /// Registers the serving-surface metrics runtime/server bumps — the
 /// serve.queue.{depth,enqueued,shed} queue counters and serve.epoch.swaps

@@ -207,15 +207,12 @@ std::uint64_t ServerEpoch::serve(const ServerRequest& request,
                                  std::size_t* hops) const {
   const HopScheme* scheme = hop_scheme(request.scheme);
   CR_CHECK_MSG(scheme != nullptr, "request for a scheme this epoch lacks");
-  const std::size_t budget = max_hops != 0 ? max_hops : 64 * n_ + 1024;
+  const std::size_t budget =
+      max_hops != 0 ? max_hops : default_hop_budget(n_);
   ServeRequest one;
   one.src = request.src;
   one.dest_key = dest_key(request.scheme, request.dest);
-  bool delivered = false;
-  const std::uint64_t fp =
-      serve_one(csr_, *scheme, one, budget, hops, &delivered);
-  CR_CHECK(delivered);
-  return fp;
+  return serve_one(csr_, *scheme, one, budget, hops);
 }
 
 std::uint64_t ServerEpoch::compute_self_fingerprint() const {

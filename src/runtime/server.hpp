@@ -217,7 +217,7 @@ struct ServerOptions {
   /// Full shard: block the submitter until a pump makes room, instead of
   /// shedding. Requires some thread to keep pumping, or stop() to abort.
   bool backpressure = false;
-  /// Hop budget per request; 0 = the serve default (64 n + 1024).
+  /// Hop budget per request; 0 = default_hop_budget(n).
   std::size_t max_hops = 0;
   /// Stamp submit/completion times and report submit->completion latency.
   bool collect_latencies = true;

@@ -199,11 +199,9 @@ TEST(HopRuntime, ExecutorRejectsNonNeighborForwarding) {
       h.dest = dest;
       return h;
     }
-    Decision step(NodeId, const HopHeader& h) const override {
-      Decision d;
-      d.header = h;
-      d.next = static_cast<NodeId>(h.dest);  // jump straight to the target
-      return d;
+    bool step(NodeId, HopHeader& h, NodeId* next) const override {
+      *next = static_cast<NodeId>(h.dest);  // jump straight to the target
+      return false;
     }
   };
   const MetricSpace metric(make_path(16));
@@ -220,11 +218,9 @@ TEST(HopRuntime, ExecutorEnforcesHopBudget) {
       h.dest = dest;
       return h;
     }
-    Decision step(NodeId at, const HopHeader& h) const override {
-      Decision d;
-      d.header = h;
-      d.next = at == 0 ? 1 : 0;
-      return d;
+    bool step(NodeId at, HopHeader& /*h*/, NodeId* next) const override {
+      *next = at == 0 ? 1 : 0;
+      return false;
     }
   };
   const MetricSpace metric(make_path(8));

@@ -12,7 +12,8 @@
 //   * shedding determinism — same seed, same submission order, same depth:
 //     two runs shed the same requests, the delivered digest matches, and a
 //     shed request's slot is never written (a shed request NEVER returns a
-//     route);
+//     route); a burst that fits the queues sheds nothing, and an 8x burst
+//     sheds all but capacity;
 //   * backpressure — a full shard blocks the submitter instead of shedding;
 //     with a pumper thread draining, every request is eventually delivered
 //     and the shed counter stays zero;
@@ -318,58 +319,65 @@ TEST(Server, EpochHotSwapSoak) {
   EXPECT_EQ(ServerEpoch::alive(), alive_before + 1);
 }
 
+// Two bursts pin both ends of the shed curve: one that fits the queues
+// (nothing sheds) and one at 8x capacity (all but capacity sheds).
 TEST(Server, SheddingIsDeterministicAndShedSlotsStayUntouched) {
   Executor::global().set_workers(1);
   const auto epoch = make_epoch(0);
-  const auto requests = mixed_requests(64, 512, 21);
 
   ServerOptions options;
   options.queue_depth = 32;
   options.shards = 2;  // fixed, not worker-derived: determinism by construction
+  const std::size_t capacity = options.queue_depth * options.shards;
 
-  struct RunOutcome {
-    std::vector<bool> accepted;
-    std::uint64_t shed = 0;
-    std::uint64_t digest = 0;
-  };
-  const auto run_once = [&] {
-    Server server(options);
-    server.publish(epoch);
-    std::vector<ServerResult> results(requests.size());
-    RunOutcome out;
-    out.accepted.resize(requests.size());
-    // Submit the whole burst before any pump: everything past the per-shard
-    // depth sheds, as a pure function of the submission order.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      out.accepted[i] = server.submit(requests[i], i);
-    }
-    server.drain(results);
-    out.shed = server.counters().shed;
-    out.digest = Server::delivered_digest(results);
+  for (const std::size_t burst : {capacity, 8 * capacity}) {
+    SCOPED_TRACE(::testing::Message() << "burst " << burst);
+    const auto requests = mixed_requests(64, burst, 21);
 
-    // Contract: a shed request is never served and its slot never written.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (out.accepted[i]) {
-        EXPECT_EQ(results[i].status.load(), ServeStatus::kDelivered);
-        EXPECT_EQ(results[i].fingerprint,
-                  epoch->serve(requests[i], 0, nullptr));
-      } else {
-        EXPECT_EQ(results[i].status.load(), ServeStatus::kPending);
-        EXPECT_EQ(results[i].fingerprint, 0u);
-        EXPECT_EQ(results[i].epoch, 0u);
-        EXPECT_EQ(results[i].hops, 0u);
+    struct RunOutcome {
+      std::vector<bool> accepted;
+      std::uint64_t shed = 0;
+      std::uint64_t digest = 0;
+    };
+    const auto run_once = [&] {
+      Server server(options);
+      server.publish(epoch);
+      std::vector<ServerResult> results(requests.size());
+      RunOutcome out;
+      out.accepted.resize(requests.size());
+      // Submit the whole burst before any pump: everything past the per-shard
+      // depth sheds, as a pure function of the submission order.
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        out.accepted[i] = server.submit(requests[i], i);
       }
-    }
-    return out;
-  };
+      server.drain(results);
+      out.shed = server.counters().shed;
+      out.digest = Server::delivered_digest(results);
 
-  const RunOutcome first = run_once();
-  const RunOutcome second = run_once();
-  EXPECT_EQ(first.shed, 512u - 2 * 32u);  // exactly capacity accepted
-  EXPECT_EQ(first.accepted, second.accepted);
-  EXPECT_EQ(first.shed, second.shed);
-  EXPECT_EQ(first.digest, second.digest);
-  EXPECT_NE(first.digest, 0u);
+      // Contract: a shed request is never served and its slot never written.
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (out.accepted[i]) {
+          EXPECT_EQ(results[i].status.load(), ServeStatus::kDelivered);
+          EXPECT_EQ(results[i].fingerprint,
+                    epoch->serve(requests[i], 0, nullptr));
+        } else {
+          EXPECT_EQ(results[i].status.load(), ServeStatus::kPending);
+          EXPECT_EQ(results[i].fingerprint, 0u);
+          EXPECT_EQ(results[i].epoch, 0u);
+          EXPECT_EQ(results[i].hops, 0u);
+        }
+      }
+      return out;
+    };
+
+    const RunOutcome first = run_once();
+    const RunOutcome second = run_once();
+    EXPECT_EQ(first.shed, burst - capacity);  // exactly capacity accepted
+    EXPECT_EQ(first.accepted, second.accepted);
+    EXPECT_EQ(first.shed, second.shed);
+    EXPECT_EQ(first.digest, second.digest);
+    EXPECT_NE(first.digest, 0u);
+  }
 }
 
 TEST(Server, BackpressureBlocksInsteadOfShedding) {

@@ -172,7 +172,7 @@ namespace {
                "                       snapshot's graph, require identical\n"
                "                       serve fingerprints, and run the\n"
                "                       corruption battery; exit 1 on failure\n"
-               "  --out FILE           write BENCH_serving-style JSON\n"
+               "  --out FILE           write the per-scheme serve report as JSON\n"
                "  --obs-out FILE       write the post-run telemetry scrape\n"
                "                       (merged sharded registry) as JSON\n"
                "  --trace-out FILE     collect construction + sampled serve\n"

@@ -21,8 +21,7 @@ artifact_dir=${1:-"$repo_root/bench_artifacts"}
 # The benches that write BENCH_*.json documents (the others only print
 # tables; add them via BENCHES= when their output is wanted in the log).
 default_benches="bench_table1_name_independent bench_table2_labeled \
-bench_preprocessing bench_audit bench_serving bench_obs_overhead \
-bench_internet"
+bench_preprocessing bench_audit bench_internet"
 benches=${BENCHES:-$default_benches}
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
@@ -42,28 +41,6 @@ for json in BENCH_*.json; do
   python3 -m json.tool "$json" > /dev/null
   cp "$json" "$artifact_dir/"
 done
-
-# The serving numbers are the repo's headline (EXPERIMENTS.md E10/E11); keep
-# the latest run visible at the repo root alongside the docs that cite it,
-# and require the E11 hot-swap table (fingerprint-stable reload cycles, plus
-# the shed curve and the vector-vs-mmap load comparison) to be present.
-if [ -e BENCH_serving.json ]; then
-  python3 - <<'EOF'
-import json
-doc = json.load(open("BENCH_serving.json"))
-hot = doc["hot_swap"]
-assert hot["swaps"] == hot["cycles"] >= 8, hot
-assert hot["fingerprints_stable"] is True
-assert hot["requests"] > 0 and hot["routes_per_sec"] > 0
-assert hot["p999_us"] >= hot["p99_us"] >= 0
-assert doc["load_ms_mmap"] > 0 and doc["load_ms_vector"] > 0
-curve = doc["shed_curve"]
-assert len(curve) >= 5
-assert curve[0]["shed"] == 0          # under capacity: nothing sheds
-assert curve[-1]["shed_rate"] > 0.5   # 8x overload: most of the burst sheds
-EOF
-  cp BENCH_serving.json "$repo_root/BENCH_serving.json"
-fi
 
 # The Internet-degradation table (EXPERIMENTS.md E12): every family must
 # carry all four schemes and a row-free doubling estimate that materialized
