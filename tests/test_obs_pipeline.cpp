@@ -595,7 +595,7 @@ TEST(ServeInstrumentation, SampledServeSpansAppearInTrace) {
 
 // ---------------------------------------------------------------------------
 // Scrape JSON: the log-histogram block round-trips through the test parser
-// (the same schema `crtool stats --format json` serves).
+// (the same schema `crtool serve --obs-out scrape.json` writes).
 
 TEST(ScrapeJson, LogHistogramBlockRoundTrips) {
   obs::Registry registry;

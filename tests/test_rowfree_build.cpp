@@ -194,7 +194,7 @@ TEST(RowFreeBuild, PerLevelSimpleStreamingMatchesEncodeSnapshot) {
   writer.add_hier(s.hier.get(), n);
   writer.add_scale_free(s.sf.get(), n);
   // Rebuild the ni-simple tables level by level, dropping each level after
-  // it is encoded — the crtool build --stream path.
+  // it is encoded — the `crtool build --out` path.
   writer.begin_simple(kEps, s.hierarchy->top_level() + 1);
   SimpleNameIndependentScheme::build_levels(
       *s.metric, *s.hierarchy, *s.naming, *s.hier, kEps,

@@ -1,56 +1,35 @@
-// crtool — command-line front end for the library.
+// crtool — command-line front end for the library, one command per job:
 //
-//   crtool gen <family> <out.graph> [args...]   generate an instance
-//   crtool info <graph>                         metric + dimension summary
-//   crtool route <graph> <src> <dst> [eps]      route with every scheme
-//   crtool eval <graph> [samples] [eps]         stretch/storage table
-//   crtool trace <graph> <src> <dst> [eps] [out.json]
-//                                               hop-by-hop annotated trace
-//   crtool audit [options]                      deterministic fuzz campaign:
-//                                               sweep generator families and
-//                                               audit every paper invariant
-//   crtool save <graph> <out.snap> [eps]        build the stack and write a
-//                                               versioned binary snapshot
-//   crtool build <graph> [eps] [options]        row-free build benchmark:
-//                                               per-phase wall times + peak
-//                                               RSS; --stream --out streams
-//                                               sections to disk as schemes
-//                                               complete (DESIGN.md §10)
-//   crtool load-info <snap>                     snapshot header + section table
-//   crtool serve <snap> [options]               replay route batches against a
-//                                               loaded snapshot (no metric)
-//   crtool server <snap> [<snap2>] [options]    long-running serving engine:
-//                                               mmap zero-copy epoch loads,
-//                                               bounded shard queues with
-//                                               shedding/backpressure, epoch
-//                                               hot-swap under load
-//                                               (--reload-every)
-//   crtool stats [<snap>] [options]             telemetry scrape: optionally
-//                                               serve a small batch, then emit
-//                                               the merged registry as
-//                                               Prometheus text or JSON
+//   gen <family> <out.graph> [args...]   generate an instance
+//   info <graph>                         metric + dimension summary
+//   route <graph> <src> <dst> [eps]      route with every scheme
+//   eval <graph> [samples] [eps]         stretch/storage table
+//   trace <graph> <src> <dst> [eps] [out.json]
+//                                        hop-by-hop annotated trace
+//   audit [options]                      paper-invariant fuzz campaign
+//   mine <graph> <out.pairs> [options]   worst-stretch (src, dest, scheme)
+//                                        triples as a `server --source` file
+//   build <graph> [eps] --out FILE [options]
+//                                        the one snapshot writer: streams
+//                                        each section as its scheme completes
+//                                        (DESIGN.md §10); per-phase times and
+//                                        peak RSS
+//   load-info <snap>                     snapshot header + section table
+//   serve <snap> [options]               per-scheme serve_batch replay from a
+//                                        loaded snapshot (no metric), the
+//                                        fingerprint gate; --obs-out scrapes
+//                                        the telemetry registry
+//   server <snap> [<snap2>] [options]    the queued serving engine: mmap
+//                                        epoch loads, shedding/backpressure,
+//                                        hot swap under load (--reload-every)
 //
-//   crtool mine <graph> <out.pairs> [options]    mine the worst-stretch
-//                                               (src, dest, scheme) triples
-//                                               into a `server --source`
-//                                               replay file
+// usage() lists every option and `gen` family. The global options --threads
+// and --metric may appear anywhere, and every option also accepts the
+// --opt=value spelling; an option the command does not list, or a surplus
+// argument, is a usage error.
 //
-// Families for `gen`:
-//   grid W H | torus W H | geometric N DIM K SEED | spider ARMS LEN |
-//   clusters LEVELS FANOUT SPREAD SEED | cliques NUM SIZE BRIDGE |
-//   tree N MAXW SEED | lbtree EPS N |
-//   powerlaw N EDGES SEED | hyperbolic N ALPHA AVGDEG SEED |
-//   astopo N CORE SEED
-//
-// Global options (anywhere on the command line):
-//   --threads N            pin the executor's worker count (CR_THREADS=N)
-//   --metric dense|rowfree metric mode: precomputed all-pairs matrices
-//                          (default), or bounded ball queries with no row
-//                          storage at all
-// Each option also accepts the --opt=value spelling.
-//
-// Exit codes: 0 success, 1 runtime error, 2 usage error (unknown command or
-// family, malformed or out-of-range argument).
+// Exit codes: 0 success, 1 runtime error, 2 usage error (unknown command,
+// option or family, surplus argument, malformed or out-of-range value).
 //
 #include <algorithm>
 #include <chrono>
@@ -60,10 +39,12 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/snapshot_audit.hpp"
@@ -74,7 +55,6 @@
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "gen/lower_bound_tree.hpp"
-#include "graph/ball_oracle.hpp"
 #include "graph/doubling.hpp"
 #include "graph/metric.hpp"
 #include "obs/mem.hpp"
@@ -114,12 +94,10 @@ namespace {
                "  crtool eval <graph> [samples] [eps]\n"
                "  crtool trace <graph> <src> <dst> [eps] [out.json]\n"
                "  crtool audit [audit options]\n"
-               "  crtool save <graph> <out.snap> [eps]\n"
-               "  crtool build <graph> [eps] [build options]\n"
+               "  crtool build <graph> [eps] --out FILE [build options]\n"
                "  crtool load-info <snap>\n"
                "  crtool serve <snap> [serve options]\n"
                "  crtool server <snap> [<snap2>] [server options]\n"
-               "  crtool stats [<snap>] [stats options]\n"
                "  crtool mine <graph> <out.pairs> [mine options]\n"
                "\n"
                "global options (anywhere on the command line; --opt=value\n"
@@ -130,21 +108,21 @@ namespace {
                "                       metric mode: all-pairs matrices\n"
                "                       (default), or bounded ball queries\n"
                "                       with no row storage\n"
+               "eps must lie in (0, 1) (default 0.5); the labeled schemes use\n"
+               "min(eps, 0.5).\n"
                "\n"
                "build options:\n"
-               "  --out FILE           write the built stack as a snapshot\n"
-               "  --stream             stream each section to --out as its\n"
-               "                       scheme completes and free it, keeping\n"
-               "                       peak memory at the live component\n"
-               "                       (requires --out)\n"
+               "  --out FILE           the snapshot to write (required); each\n"
+               "                       section is streamed to it as its scheme\n"
+               "                       completes and then freed, keeping peak\n"
+               "                       memory at the live component\n"
                "  --schemes all|light  light = hierarchy + labeled-\n"
                "                       hierarchical + ni-simple only; the\n"
                "                       scale-free sections are written empty\n"
                "                       and load back as absent (default all)\n"
-               "  --verify             reload --out, decode, check the arena\n"
-               "                       sections against a fresh compile, and\n"
-               "                       run the corruption battery; exit 1 on\n"
-               "                       failure\n"
+               "  --verify             reload --out, check the arena sections\n"
+               "                       against a fresh compile, and run the\n"
+               "                       corruption battery; exit 1 on failure\n"
                "build prints per-phase wall times and the process peak RSS.\n"
                "\n"
                "audit options (each list is comma-separated):\n"
@@ -174,7 +152,8 @@ namespace {
                "                       corruption battery; exit 1 on failure\n"
                "  --out FILE           write the per-scheme serve report as JSON\n"
                "  --obs-out FILE       write the post-run telemetry scrape\n"
-               "                       (merged sharded registry) as JSON\n"
+               "                       (merged sharded registry): Prometheus\n"
+               "                       text if FILE ends in .prom, else JSON\n"
                "  --trace-out FILE     collect construction + sampled serve\n"
                "                       spans and write Chrome trace-event\n"
                "                       JSON (chrome://tracing, Perfetto)\n"
@@ -215,17 +194,10 @@ namespace {
                "                       file instead of mmap\n"
                "  --out FILE           write the run summary as JSON\n"
                "  --obs-out FILE       write the post-run telemetry scrape\n"
+               "                       (as for serve)\n"
                "server prints routes/s, p50/p99/p999 latency, shed and epoch-\n"
                "swap counts, and the delivered-request digest; both epochs'\n"
                "serve fingerprints are re-audited at every swap.\n"
-               "\n"
-               "stats options:\n"
-               "  --pairs N            with a snapshot: serve N requests per\n"
-               "                       scheme first to populate the registry\n"
-               "                       (default 2000)\n"
-               "  --seed S             request-batch seed (default 1)\n"
-               "  --format prom|json   exposition format (default prom)\n"
-               "  --out FILE           write instead of printing to stdout\n"
                "\n"
                "mine options:\n"
                "  --samples N          seeded pairs routed per scheme\n"
@@ -294,9 +266,43 @@ double parse_positive_double(const std::string& token, const char* what) {
   return v;
 }
 
+/// The ε every scheme build takes. The name-independent constructions need
+/// ε ∈ (0, 1) (Theorem 1.4), so anything else is a usage error here, not a
+/// failed check after the metric and hierarchy are already built.
+double parse_eps(const std::string& token, const char* what) {
+  const double v = parse_positive_double(token, what);
+  if (v >= 1) {
+    std::fprintf(stderr, "%s must be in (0, 1), got '%s'\n\n", what,
+                 token.c_str());
+    usage();
+  }
+  return v;
+}
+
 /// Metric mode chosen by the global --metric option; every command that
 /// builds a MetricSpace reads it.
 MetricOptions g_metric_options;
+
+/// One parsed command line: the command's positional arguments and the
+/// options it was given, by name (a flag maps to an empty value).
+struct Args {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string> options;
+
+  bool has(const std::string& opt) const { return options.count(opt) != 0; }
+  const std::string* get(const std::string& opt) const {
+    const auto it = options.find(opt);
+    return it == options.end() ? nullptr : &it->second;
+  }
+  std::string text(const std::string& opt, const std::string& fallback) const {
+    const std::string* v = get(opt);
+    return v ? *v : fallback;
+  }
+  std::uint64_t u64(const std::string& opt, std::uint64_t fallback) const {
+    const std::string* v = get(opt);
+    return v ? parse_u64(*v, (opt + " value").c_str()) : fallback;
+  }
+};
 
 /// Writes a user-requested artifact and echoes the path. Returns false on
 /// failure (write_text_file already printed the path-bearing warning);
@@ -306,6 +312,63 @@ bool write_output_file(const std::string& path, const std::string& content) {
   if (!obs::write_text_file(path, content)) return false;
   std::printf("wrote %s\n", path.c_str());
   return true;
+}
+
+/// Writes the merged scrape of every worker shard's registry: Prometheus
+/// text when `path` ends in `.prom`, otherwise a JSON document that also
+/// carries the worker and shard counts needed to interpret it.
+bool write_scrape(const std::string& path) {
+  const auto scraped = obs::scrape_global();
+  if (path.ends_with(".prom")) {
+    return write_output_file(path, obs::registry_to_prometheus(*scraped));
+  }
+  obs::JsonValue doc = obs::JsonValue::object();
+  doc["workers"] = static_cast<std::uint64_t>(Executor::global().workers());
+  doc["shards"] = static_cast<std::uint64_t>(
+      obs::ShardedRegistry::global().shard_count());
+  doc["metrics"] = obs::registry_to_json(*scraped);
+  return write_output_file(path, doc.dump(2) + "\n");
+}
+
+/// The short scheme tokens of the CLI, in ServeScheme order: `serve
+/// --scheme`, the lines of a `server --source` replay file, and what `mine`
+/// writes into one.
+constexpr struct {
+  const char* token;
+  ServeScheme scheme;
+} kSchemeTokens[] = {{"hier", ServeScheme::kHierarchical},
+                     {"sf", ServeScheme::kScaleFree},
+                     {"simple", ServeScheme::kSimpleNi},
+                     {"sfni", ServeScheme::kScaleFreeNi}};
+
+bool scheme_from_token(const std::string& token, ServeScheme* scheme) {
+  for (const auto& entry : kSchemeTokens) {
+    if (token == entry.token) {
+      *scheme = entry.scheme;
+      return true;
+    }
+  }
+  return false;
+}
+
+const char* scheme_token(ServeScheme scheme) {
+  return kSchemeTokens[static_cast<std::size_t>(scheme)].token;
+}
+
+/// The snapshot half of `build --verify` and `serve --audit`: the stored
+/// arena sections must equal a fresh compile of the decoded compact sections
+/// (a snapshot that does not decode fails here too), and the container must
+/// reject a battery of truncations and bit flips. Merges into `report`, then
+/// prints its totals under `label` and, on failure, every issue.
+bool verify_snapshot(const std::string& path, audit::Report& report,
+                     const char* label) {
+  const std::vector<std::uint8_t> bytes = read_snapshot_file(path);
+  report.merge(audit::audit_snapshot_arena(bytes));
+  report.merge(audit::audit_snapshot_corruption(bytes, audit::Options{}));
+  std::printf("%s: %zu checks, %zu issues\n", label, report.checks,
+              report.issues.size());
+  if (!report.ok()) std::printf("%s", report.summary().c_str());
+  return report.ok();
 }
 
 std::uint64_t arg_u64(const std::vector<std::string>& args, std::size_t k,
@@ -318,11 +381,26 @@ double arg_positive_double(const std::vector<std::string>& args, std::size_t k,
   return k < args.size() ? parse_positive_double(args[k], what) : fallback;
 }
 
-int cmd_gen(const std::vector<std::string>& args) {
-  if (args.size() < 2) usage();
-  const std::string& family = args[0];
-  const std::string& out = args[1];
-  const std::vector<std::string> rest(args.begin() + 2, args.end());
+double arg_eps(const std::vector<std::string>& args, std::size_t k) {
+  return k < args.size() ? parse_eps(args[k], "eps") : 0.5;
+}
+
+int cmd_gen(const Args& args) {
+  const std::string& family = args.positional[0];
+  const std::string& out = args.positional[1];
+  const std::vector<std::string> rest(args.positional.begin() + 2,
+                                      args.positional.end());
+  // Parameters each family takes after the output path (all defaulted).
+  static const std::map<std::string, std::size_t> kMaxParams = {
+      {"grid", 2},     {"torus", 2},      {"geometric", 4}, {"spider", 2},
+      {"clusters", 4}, {"cliques", 3},    {"tree", 3},      {"lbtree", 2},
+      {"powerlaw", 3}, {"hyperbolic", 4}, {"astopo", 3}};
+  const auto max_params = kMaxParams.find(family);
+  if (max_params != kMaxParams.end() && rest.size() > max_params->second) {
+    std::fprintf(stderr, "gen %s takes at most %zu parameters, got %zu\n\n",
+                 family.c_str(), max_params->second, rest.size());
+    usage();
+  }
   Graph graph;
   if (family == "grid") {
     graph = make_grid(arg_u64(rest, 0, 16), arg_u64(rest, 1, 16));
@@ -394,9 +472,8 @@ int cmd_gen(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_info(const std::vector<std::string>& args) {
-  if (args.empty()) usage();
-  const Graph graph = load_graph(args[0]);
+int cmd_info(const Args& args) {
+  const Graph graph = load_graph(args.positional[0]);
   const MetricSpace metric(graph, g_metric_options);
   Prng prng(1);
   const DoublingEstimate dim = estimate_doubling_dimension(
@@ -413,11 +490,14 @@ int cmd_info(const std::vector<std::string>& args) {
 }
 
 struct Stack {
-  explicit Stack(Graph g, double eps)
+  /// Builds all four schemes over `g`. The naming is the CLI's seeded random
+  /// one unless `given` supplies another (`serve --audit` passes the
+  /// snapshot's own).
+  Stack(Graph g, double eps, const Naming* given = nullptr)
       : graph(std::move(g)),
         metric(graph, g_metric_options),
         hierarchy(metric),
-        naming(Naming::random(metric.n(), 4242)),
+        naming(given ? *given : Naming::random(metric.n(), 4242)),
         hier(metric, hierarchy, std::min(eps, 0.5)),
         sf(metric, hierarchy, std::min(eps, 0.5)),
         simple(metric, hierarchy, naming, hier, eps),
@@ -443,30 +523,24 @@ NodeId parse_node(const std::string& token, const MetricSpace& metric,
   return static_cast<NodeId>(v);
 }
 
-int cmd_route(const std::vector<std::string>& args) {
-  if (args.size() < 3) usage();
-  const double eps = arg_positive_double(args, 3, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
-  const NodeId src = parse_node(args[1], stack.metric, "src");
-  const NodeId dst = parse_node(args[2], stack.metric, "dst");
+int cmd_route(const Args& args) {
+  const double eps = arg_eps(args.positional, 3);
+  Stack stack(load_graph(args.positional[0]), eps);
+  const NodeId src = parse_node(args.positional[1], stack.metric, "src");
+  const NodeId dst = parse_node(args.positional[2], stack.metric, "dst");
   const Weight optimal = stack.metric.dist(src, dst);
   std::printf("d(%u, %u) = %.6g   (eps = %.3f)\n\n", src, dst, optimal, eps);
   std::printf("%-26s %10s %10s %7s\n", "scheme", "cost", "stretch", "hops");
 
-  const auto report_labeled = [&](const LabeledScheme& s) {
-    const RouteResult r = s.route(src, s.label(dst));
-    std::printf("%-26s %10.6g %10.3f %7zu\n", s.name().c_str(), r.cost,
+  const auto report = [&](const std::string& name, const RouteResult& r) {
+    std::printf("%-26s %10.6g %10.3f %7zu\n", name.c_str(), r.cost,
                 optimal > 0 ? r.cost / optimal : 1.0, r.path.size() - 1);
   };
-  const auto report_ni = [&](const NameIndependentScheme& s) {
-    const RouteResult r = s.route(src, stack.naming.name_of(dst));
-    std::printf("%-26s %10.6g %10.3f %7zu\n", s.name().c_str(), r.cost,
-                optimal > 0 ? r.cost / optimal : 1.0, r.path.size() - 1);
-  };
-  report_labeled(stack.hier);
-  report_labeled(stack.sf);
-  report_ni(stack.simple);
-  report_ni(stack.sfni);
+  const std::uint64_t name = stack.naming.name_of(dst);
+  report(stack.hier.name(), stack.hier.route(src, stack.hier.label(dst)));
+  report(stack.sf.name(), stack.sf.route(src, stack.sf.label(dst)));
+  report(stack.simple.name(), stack.simple.route(src, name));
+  report(stack.sfni.name(), stack.sfni.route(src, name));
   return 0;
 }
 
@@ -499,12 +573,11 @@ void print_trace(const RouteResult& r, Weight optimal) {
               r.trace.max_header_bits());
 }
 
-int cmd_trace(const std::vector<std::string>& args) {
-  if (args.size() < 3) usage();
-  const double eps = arg_positive_double(args, 3, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
-  const NodeId src = parse_node(args[1], stack.metric, "src");
-  const NodeId dst = parse_node(args[2], stack.metric, "dst");
+int cmd_trace(const Args& args) {
+  const double eps = arg_eps(args.positional, 3);
+  Stack stack(load_graph(args.positional[0]), eps);
+  const NodeId src = parse_node(args.positional[1], stack.metric, "src");
+  const NodeId dst = parse_node(args.positional[2], stack.metric, "dst");
   const Weight optimal = stack.metric.dist(src, dst);
   std::printf("trace %u -> %u   d = %.6g   (eps = %.3f, workers = %zu, "
               "metric = %s)\n\n",
@@ -539,17 +612,15 @@ int cmd_trace(const std::vector<std::string>& args) {
   run(hop_simple, stack.naming.name_of(dst));
   run(hop_sfni, stack.naming.name_of(dst));
 
-  if (args.size() > 4) {
-    if (!write_output_file(args[4], doc.dump(2) + "\n")) return 1;
-  }
-  return 0;
+  const bool json_ok = args.positional.size() < 5 ||
+                       write_output_file(args.positional[4], doc.dump(2) + "\n");
+  return json_ok ? 0 : 1;
 }
 
-int cmd_eval(const std::vector<std::string>& args) {
-  if (args.empty()) usage();
-  const std::size_t samples = arg_u64(args, 1, 2000, "samples");
-  const double eps = arg_positive_double(args, 2, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
+int cmd_eval(const Args& args) {
+  const std::size_t samples = arg_u64(args.positional, 1, 2000, "samples");
+  const double eps = arg_eps(args.positional, 2);
+  Stack stack(load_graph(args.positional[0]), eps);
   Prng prng(7);
 
   std::printf("eval: %zu samples, eps = %.3f, workers = %zu, metric = %s\n\n",
@@ -557,13 +628,10 @@ int cmd_eval(const std::vector<std::string>& args) {
               stack.metric.backend_name());
   std::printf("%-26s %9s %9s %9s %12s %12s %8s\n", "scheme", "stretch",
               "avg-str", "p95-str", "max-bits", "avg-bits", "hdr-bits");
-  const auto storage = [&](auto& s) {
+  const auto report = [&](auto& s, const StretchStats& stats) {
     std::vector<std::size_t> bits(stack.metric.n());
     for (NodeId u = 0; u < stack.metric.n(); ++u) bits[u] = s.storage_bits(u);
-    return summarize_storage(bits);
-  };
-  const auto report = [&](auto& s, const StretchStats& stats) {
-    const StorageStats st = storage(s);
+    const StorageStats st = summarize_storage(bits);
     std::printf("%-26s %9.3f %9.3f %9.3f %12zu %12.0f %8zu\n", s.name().c_str(),
                 stats.max_stretch, stats.avg_stretch(), stats.p95(), st.max_bits,
                 st.avg_bits, s.header_bits());
@@ -594,85 +662,74 @@ std::vector<std::string> split_csv(const std::string& list) {
   return items;
 }
 
-bool take_option(std::vector<std::string>& args, std::size_t& i,
-                 const std::string& opt, std::string& value);
-
-int cmd_audit(std::vector<std::string> args) {
+int cmd_audit(const Args& args) {
   audit::CampaignOptions options;
-  std::string out_path;
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--families", value)) {
-      options.families = split_csv(value);
-      for (const std::string& family : options.families) {
-        const auto& known = audit::campaign_families();
-        if (std::find(known.begin(), known.end(), family) == known.end()) {
-          std::fprintf(stderr, "unknown audit family '%s'\n\n", family.c_str());
-          usage();
-        }
-      }
-    } else if (take_option(args, i, "--n", value)) {
-      options.n_hints.clear();
-      for (const std::string& token : split_csv(value)) {
-        options.n_hints.push_back(parse_u64(token, "--n entry"));
-      }
-    } else if (take_option(args, i, "--seeds", value)) {
-      options.seeds.clear();
-      for (const std::string& token : split_csv(value)) {
-        options.seeds.push_back(parse_u64(token, "--seeds entry"));
-      }
-    } else if (take_option(args, i, "--eps", value)) {
-      options.epsilons.clear();
-      for (const std::string& token : split_csv(value)) {
-        const double eps = parse_positive_double(token, "--eps entry");
-        if (eps <= 0) {
-          std::fprintf(stderr, "--eps entries must be positive\n\n");
-          usage();
-        }
-        options.epsilons.push_back(eps);
-      }
-    } else if (take_option(args, i, "--backends", value)) {
-      options.backends.clear();
-      for (const std::string& token : split_csv(value)) {
-        MetricBackendKind kind;
-        if (!backend_from_name(token, &kind)) {
-          std::fprintf(stderr,
-                       "--backends entries must be 'dense' or 'rowfree', got "
-                       "'%s'\n\n",
-                       token.c_str());
-          usage();
-        }
-        options.backends.push_back(kind);
-      }
-    } else if (take_option(args, i, "--workers", value)) {
-      options.worker_counts.clear();
-      for (const std::string& token : split_csv(value)) {
-        const std::uint64_t w = parse_u64(token, "--workers entry");
-        if (w == 0) {
-          std::fprintf(stderr, "--workers entries must be >= 1\n\n");
-          usage();
-        }
-        options.worker_counts.push_back(static_cast<std::size_t>(w));
-      }
-    } else if (take_option(args, i, "--budget-s", value)) {
-      options.budget_seconds = parse_double(value, "--budget-s value");
-    } else if (take_option(args, i, "--out", value)) {
-      out_path = value;
-    } else if (take_option(args, i, "--inject", value)) {
-      // Intentionally undocumented: plants one defect so smoke tests can
-      // demonstrate that a violation turns into exit code 1.
-      if (!audit::inject_from_string(value, &options.inject)) {
-        std::fprintf(stderr, "unknown --inject '%s'\n\n", value.c_str());
+  if (const std::string* value = args.get("--families")) {
+    options.families = split_csv(*value);
+    for (const std::string& family : options.families) {
+      const auto& known = audit::campaign_families();
+      if (std::find(known.begin(), known.end(), family) == known.end()) {
+        std::fprintf(stderr, "unknown audit family '%s'\n\n", family.c_str());
         usage();
       }
-    } else if (args[i] == "--no-shrink") {
-      options.shrink = false;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      std::fprintf(stderr, "unknown audit option '%s'\n\n", args[i].c_str());
+    }
+  }
+  if (const std::string* value = args.get("--n")) {
+    options.n_hints.clear();
+    for (const std::string& token : split_csv(*value)) {
+      options.n_hints.push_back(parse_u64(token, "--n entry"));
+    }
+  }
+  if (const std::string* value = args.get("--seeds")) {
+    options.seeds.clear();
+    for (const std::string& token : split_csv(*value)) {
+      options.seeds.push_back(parse_u64(token, "--seeds entry"));
+    }
+  }
+  if (const std::string* value = args.get("--eps")) {
+    options.epsilons.clear();
+    for (const std::string& token : split_csv(*value)) {
+      options.epsilons.push_back(parse_eps(token, "--eps entry"));
+    }
+  }
+  if (const std::string* value = args.get("--backends")) {
+    options.backends.clear();
+    for (const std::string& token : split_csv(*value)) {
+      MetricBackendKind kind;
+      if (!backend_from_name(token, &kind)) {
+        std::fprintf(stderr,
+                     "--backends entries must be 'dense' or 'rowfree', got "
+                     "'%s'\n\n",
+                     token.c_str());
+        usage();
+      }
+      options.backends.push_back(kind);
+    }
+  }
+  if (const std::string* value = args.get("--workers")) {
+    options.worker_counts.clear();
+    for (const std::string& token : split_csv(*value)) {
+      const std::uint64_t w = parse_u64(token, "--workers entry");
+      if (w == 0) {
+        std::fprintf(stderr, "--workers entries must be >= 1\n\n");
+        usage();
+      }
+      options.worker_counts.push_back(static_cast<std::size_t>(w));
+    }
+  }
+  if (const std::string* value = args.get("--budget-s")) {
+    options.budget_seconds = parse_double(*value, "--budget-s value");
+  }
+  // Intentionally undocumented: plants one defect so smoke tests can
+  // demonstrate that a violation turns into exit code 1.
+  if (const std::string* value = args.get("--inject")) {
+    if (!audit::inject_from_string(*value, &options.inject)) {
+      std::fprintf(stderr, "unknown --inject '%s'\n\n", value->c_str());
       usage();
     }
   }
+  options.shrink = !args.has("--no-shrink");
+  const std::string out_path = args.text("--out", "");
 
   const audit::CampaignResult result = audit::run_campaign(options);
   std::printf("audit: %zu cases, %zu checks, %zu violations%s\n",
@@ -702,57 +759,19 @@ int cmd_audit(std::vector<std::string> args) {
   return result.ok() && artifacts_ok ? 0 : 1;
 }
 
-int cmd_save(const std::vector<std::string>& args) {
-  if (args.size() < 2) usage();
-  const double eps = arg_positive_double(args, 2, 0.5, "eps");
-  Stack stack(load_graph(args[0]), eps);
-  const std::vector<std::uint8_t> bytes =
-      encode_snapshot(stack.metric, eps, stack.hierarchy, stack.naming,
-                      stack.hier, stack.sf, stack.simple, stack.sfni);
-  write_snapshot_file(args[1], bytes);
-  const auto sections = snapshot_directory(bytes);
-  std::printf("wrote %s: %zu bytes, %zu sections (n = %zu, eps = %.3f)\n",
-              args[1].c_str(), bytes.size(), sections.size(), stack.metric.n(),
-              eps);
-  return 0;
-}
-
-int cmd_build(std::vector<std::string> args) {
-  bool stream = false;
-  bool verify = false;
-  std::string out_path;
-  std::string schemes = "all";
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--out", value)) {
-      out_path = value;
-    } else if (take_option(args, i, "--schemes", value)) {
-      schemes = value;
-    } else if (args[i] == "--stream") {
-      stream = true;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else if (args[i] == "--verify") {
-      verify = true;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
+int cmd_build(const Args& args) {
+  const std::string out_path = args.text("--out", "");
+  if (out_path.empty()) {
+    std::fprintf(stderr, "build needs --out FILE (the snapshot to write)\n\n");
+    usage();
   }
-  if (args.empty()) usage();
+  const std::string schemes = args.text("--schemes", "all");
   if (schemes != "all" && schemes != "light") {
     std::fprintf(stderr, "--schemes must be 'all' or 'light', got '%s'\n\n",
                  schemes.c_str());
     usage();
   }
-  if (stream && out_path.empty()) {
-    std::fprintf(stderr, "--stream requires --out (nowhere to stream to)\n\n");
-    usage();
-  }
-  if (verify && out_path.empty()) {
-    std::fprintf(stderr, "--verify requires --out (no snapshot to verify)\n\n");
-    usage();
-  }
-  const double eps = arg_positive_double(args, 1, 0.5, "eps");
+  const double eps = arg_eps(args.positional, 1);
   const bool all_schemes = schemes == "all";
 
   preregister_build_metrics();
@@ -771,34 +790,34 @@ int cmd_build(std::vector<std::string> args) {
     mark = now;
   };
 
-  const Graph graph = load_graph(args[0]);
+  const Graph graph = load_graph(args.positional[0]);
   mark = Clock::now();
   const MetricSpace metric(graph, g_metric_options);
   const std::size_t n = metric.n();
   lap("metric");
   std::printf("build: n = %zu, eps = %.3f, workers = %zu, metric = %s, "
-              "mode = %s, schemes = %s\n",
+              "schemes = %s\n",
               n, eps, Executor::global().workers(), metric.backend_name(),
-              stream ? "streaming" : "in-memory", schemes.c_str());
+              schemes.c_str());
 
   const NetHierarchy hierarchy(metric);
   const Naming naming = Naming::random(n, 4242);
   lap("hierarchy");
 
-  std::unique_ptr<SnapshotStreamWriter> writer;
-  if (!out_path.empty()) {
-    writer = std::make_unique<SnapshotStreamWriter>(out_path);
-    writer->add_meta(metric, eps);
-    writer->add_graph(metric);
-    writer->add_hierarchy(hierarchy, n);
-    writer->add_naming(naming, n);
-  }
+  // Each section is written as soon as its scheme is built, and each scheme
+  // is freed once nothing downstream reads it, so peak memory stays at the
+  // live component rather than the whole stack.
+  SnapshotStreamWriter writer(out_path);
+  writer.add_meta(metric, eps);
+  writer.add_graph(metric);
+  writer.add_hierarchy(hierarchy, n);
+  writer.add_naming(naming, n);
 
   const double eps_labeled = std::min(eps, 0.5);
   auto hier = std::make_unique<HierarchicalLabeledScheme>(metric, hierarchy,
                                                           eps_labeled);
   lap("labeled.hier");
-  if (writer && stream) writer->add_hier(hier.get(), n);
+  writer.add_hier(hier.get(), n);
 
   std::unique_ptr<ScaleFreeLabeledScheme> sf;
   if (all_schemes) {
@@ -806,25 +825,19 @@ int cmd_build(std::vector<std::string> args) {
                                                   eps_labeled);
     lap("labeled.sf");
   }
-  if (writer && stream) writer->add_scale_free(sf.get(), n);
+  writer.add_scale_free(sf.get(), n);
 
-  std::unique_ptr<SimpleNameIndependentScheme> simple;
-  if (stream) {
-    // Streamed per level: each level's search trees are encoded and dropped
-    // before the next level is built, so only one level is ever alive.
-    writer->begin_simple(eps, hierarchy.top_level() + 1);
-    SimpleNameIndependentScheme::build_levels(
-        metric, hierarchy, naming, *hier, eps,
-        [&](int, std::vector<std::unique_ptr<SearchTree>> trees) {
-          writer->add_simple_level(trees);
-        });
-    writer->end_simple();
-  } else {
-    simple = std::make_unique<SimpleNameIndependentScheme>(metric, hierarchy,
-                                                           naming, *hier, eps);
-  }
+  // Streamed per level: each level's search trees are encoded and dropped
+  // before the next level is built, so only one level is ever alive.
+  writer.begin_simple(eps, hierarchy.top_level() + 1);
+  SimpleNameIndependentScheme::build_levels(
+      metric, hierarchy, naming, *hier, eps,
+      [&](int, std::vector<std::unique_ptr<SearchTree>> trees) {
+        writer.add_simple_level(trees);
+      });
+  writer.end_simple();
   lap("ni.simple");
-  if (stream) hier.reset();  // nothing downstream reads the labeled tables
+  hier.reset();  // nothing downstream reads the labeled tables
 
   std::unique_ptr<ScaleFreeNameIndependentScheme> sfni;
   if (all_schemes) {
@@ -832,23 +845,12 @@ int cmd_build(std::vector<std::string> args) {
                                                             naming, *sf, eps);
     lap("ni.sf");
   }
-  if (writer && stream) {
-    writer->add_sfni(sfni.get(), n);
-    sfni.reset();
-    sf.reset();
-  }
+  writer.add_sfni(sfni.get(), n);
+  sfni.reset();
+  sf.reset();
 
-  if (writer && !stream) {
-    writer->add_hier(hier.get(), n);
-    writer->add_scale_free(sf.get(), n);
-    writer->add_simple(simple.get());
-    writer->add_sfni(sfni.get(), n);
-  }
-  std::uint64_t total_bytes = 0;
-  if (writer) {
-    total_bytes = writer->finish();
-    lap("snapshot");
-  }
+  const std::uint64_t total_bytes = writer.finish();
+  lap("snapshot");
 
   obs::publish_peak_rss();
   std::printf("\n%-14s %9s\n", "phase", "seconds");
@@ -858,36 +860,23 @@ int cmd_build(std::vector<std::string> args) {
   const std::uint64_t peak = obs::peak_rss_bytes();
   std::printf("peak rss       %llu bytes (%.1f MiB)\n",
               static_cast<unsigned long long>(peak), peak / (1024.0 * 1024.0));
-  if (writer) {
-    std::printf("wrote %s: %llu bytes\n", out_path.c_str(),
-                static_cast<unsigned long long>(total_bytes));
-  }
+  std::printf("wrote %s: %llu bytes\n", out_path.c_str(),
+              static_cast<unsigned long long>(total_bytes));
 
-  if (verify) {
-    const std::vector<std::uint8_t> bytes = read_snapshot_file(out_path);
-    decode_snapshot(bytes);  // throws SnapshotError on any defect
-    audit::Report report = audit::audit_snapshot_arena(bytes);
-    report.merge(audit::audit_snapshot_corruption(bytes, audit::Options{}));
-    std::printf("verify: decode ok; arena equality + corruption battery %zu "
-                "checks, %zu issues\n",
-                report.checks, report.issues.size());
-    if (!report.ok()) {
-      std::printf("%s", report.summary().c_str());
-      return 1;
-    }
-  }
-  return 0;
+  if (!args.has("--verify")) return 0;
+  audit::Report report;
+  return verify_snapshot(out_path, report, "verify") ? 0 : 1;
 }
 
-int cmd_load_info(const std::vector<std::string>& args) {
-  if (args.empty()) usage();
-  const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
+int cmd_load_info(const Args& args) {
+  const std::string& path = args.positional[0];
+  const std::vector<std::uint8_t> bytes = read_snapshot_file(path);
   const auto sections = snapshot_directory(bytes);
   const SnapshotStack stack = decode_snapshot(bytes);
   // The serving restore too: what ServerEpoch::load would do with the file.
   const ServingSnapshot serving =
       restore_serving_snapshot(bytes.data(), sections);
-  std::printf("%s: %zu bytes, format v2\n", args[0].c_str(), bytes.size());
+  std::printf("%s: %zu bytes, format v2\n", path.c_str(), bytes.size());
   std::printf("nodes       %zu\n", stack.n);
   std::printf("edges       %zu\n", stack.graph.num_edges());
   std::printf("epsilon     %.6g\n", stack.epsilon);
@@ -904,58 +893,22 @@ int cmd_load_info(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// The stats JSON document: the merged scrape of every worker shard plus
-/// enough context (worker/shard counts) to interpret it.
-obs::JsonValue scrape_to_json_doc() {
-  const auto scraped = obs::scrape_global();
-  obs::JsonValue doc = obs::JsonValue::object();
-  doc["workers"] = static_cast<std::uint64_t>(Executor::global().workers());
-  doc["shards"] = static_cast<std::uint64_t>(
-      obs::ShardedRegistry::global().shard_count());
-  doc["metrics"] = obs::registry_to_json(*scraped);
-  return doc;
-}
-
-int cmd_serve(std::vector<std::string> args) {
-  std::string scheme_sel = "all";
-  std::string out_path;
-  std::string obs_out_path;
-  std::string trace_out_path;
-  std::string flight_out_path;
-  std::uint64_t pairs = 10000;
-  std::uint64_t seed = 1;
-  bool do_audit = false;
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--scheme", value)) {
-      scheme_sel = value;
-    } else if (take_option(args, i, "--pairs", value)) {
-      pairs = parse_u64(value, "--pairs value");
-    } else if (take_option(args, i, "--seed", value)) {
-      seed = parse_u64(value, "--seed value");
-    } else if (take_option(args, i, "--out", value)) {
-      out_path = value;
-    } else if (take_option(args, i, "--obs-out", value)) {
-      obs_out_path = value;
-    } else if (take_option(args, i, "--trace-out", value)) {
-      trace_out_path = value;
-    } else if (take_option(args, i, "--flight-out", value)) {
-      flight_out_path = value;
-    } else if (args[i] == "--audit") {
-      do_audit = true;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-  if (args.empty()) usage();
+int cmd_serve(const Args& args) {
+  const std::string& path = args.positional[0];
+  const std::string scheme_sel = args.text("--scheme", "all");
+  const std::string out_path = args.text("--out", "");
+  const std::string obs_out_path = args.text("--obs-out", "");
+  const std::string trace_out_path = args.text("--trace-out", "");
+  const std::string flight_out_path = args.text("--flight-out", "");
+  const std::uint64_t pairs = args.u64("--pairs", 10000);
+  const std::uint64_t seed = args.u64("--seed", 1);
   if (pairs == 0) {
     std::fprintf(stderr, "--pairs must be >= 1\n\n");
     usage();
   }
   const bool all = scheme_sel == "all";
-  if (!all && scheme_sel != "hier" && scheme_sel != "sf" &&
-      scheme_sel != "simple" && scheme_sel != "sfni") {
+  ServeScheme selected = ServeScheme::kHierarchical;
+  if (!all && !scheme_from_token(scheme_sel, &selected)) {
     std::fprintf(stderr, "unknown --scheme '%s'\n\n", scheme_sel.c_str());
     usage();
   }
@@ -967,11 +920,11 @@ int cmd_serve(std::vector<std::string> args) {
   // Served exactly as the long-running server loads an epoch: the persisted
   // arena restored from the mapped file, no scheme section decoded.
   const std::shared_ptr<ServerEpoch> epoch =
-      ServerEpoch::load(args[0], /*use_mmap=*/true, 0);
+      ServerEpoch::load(path, /*use_mmap=*/true, 0);
   const std::size_t n = epoch->n();
   std::printf("serve: %s (n = %zu, eps = %.3g), %llu pairs/scheme, seed %llu, "
               "workers = %zu, arena %zu bytes\n\n",
-              args[0].c_str(), n, epoch->epsilon(),
+              path.c_str(), n, epoch->epsilon(),
               static_cast<unsigned long long>(pairs),
               static_cast<unsigned long long>(seed),
               Executor::global().workers(), epoch->arena()->memory_bytes());
@@ -985,7 +938,7 @@ int cmd_serve(std::vector<std::string> args) {
 
   obs::JsonValue doc = obs::JsonValue::object();
   doc["bench"] = std::string("serving");
-  doc["snapshot"] = args[0];
+  doc["snapshot"] = path;
   doc["n"] = static_cast<std::uint64_t>(n);
   doc["epsilon"] = epoch->epsilon();
   doc["pairs"] = pairs;
@@ -1027,45 +980,33 @@ int cmd_serve(std::vector<std::string> args) {
   // A subset snapshot (crtool build --schemes light) loads the missing
   // schemes as null: under `all` they are skipped with a note, but asking for
   // one by name is an error — the snapshot cannot answer that request.
-  const auto require = [&](const char* flag, ServeScheme scheme) {
-    if (epoch->has(scheme)) return true;
-    if (!all) {
-      std::fprintf(stderr, "snapshot has no %s section (subset snapshot)\n",
-                   flag);
-      std::exit(1);
+  for (const auto& [token, scheme] : kSchemeTokens) {
+    if (!all && scheme != selected) continue;
+    if (!epoch->has(scheme)) {
+      if (!all) {
+        std::fprintf(stderr, "snapshot has no %s section (subset snapshot)\n",
+                     token);
+        return 1;
+      }
+      std::printf("%-26s %12s\n", token, "(absent)");
+      continue;
     }
-    std::printf("%-26s %12s\n", flag, "(absent)");
-    return false;
-  };
-  const struct {
-    const char* flag;
-    ServeScheme scheme;
-  } schemes[] = {{"hier", ServeScheme::kHierarchical},
-                 {"sf", ServeScheme::kScaleFree},
-                 {"simple", ServeScheme::kSimpleNi},
-                 {"sfni", ServeScheme::kScaleFreeNi}};
-  for (const auto& [flag, scheme] : schemes) {
-    if ((all || scheme_sel == flag) && require(flag, scheme)) {
-      const bool named_keys = scheme == ServeScheme::kSimpleNi ||
-                              scheme == ServeScheme::kScaleFreeNi;
-      run(*epoch->hop_scheme(scheme), named_keys ? named : labeled);
-    }
+    const bool named_keys = scheme == ServeScheme::kSimpleNi ||
+                            scheme == ServeScheme::kScaleFreeNi;
+    run(*epoch->hop_scheme(scheme), named_keys ? named : labeled);
   }
 
   bool artifacts_ok = true;
   if (!out_path.empty()) {
     artifacts_ok &= write_output_file(out_path, doc.dump(2) + "\n");
   }
-  if (!obs_out_path.empty()) {
-    artifacts_ok &=
-        write_output_file(obs_out_path, scrape_to_json_doc().dump(2) + "\n");
-  }
+  if (!obs_out_path.empty()) artifacts_ok &= write_scrape(obs_out_path);
   if (!trace_out_path.empty()) {
     const obs::JsonValue trace =
         obs::spans_to_chrome_trace(obs::SpanCollector::global().snapshot());
     artifacts_ok &= write_output_file(trace_out_path, trace.dump(2) + "\n");
   }
-  if (!do_audit) return artifacts_ok ? 0 : 1;
+  if (!args.has("--audit")) return artifacts_ok ? 0 : 1;
   for (std::size_t s = 0; s < kNumServeSchemes; ++s) {
     if (epoch->has(static_cast<ServeScheme>(s))) continue;
     std::fprintf(stderr,
@@ -1075,29 +1016,19 @@ int cmd_serve(std::vector<std::string> args) {
   }
 
   // --audit: the acceptance gate. Rebuild the whole stack fresh from the
-  // snapshot's own graph (same naming, same ε clamp the builders use) and
-  // require every scheme's serve fingerprint on the restored arena to match
-  // the fresh build, the stored arena sections to equal a fresh compile of
-  // the decoded compact sections, and the container to reject a battery of
-  // truncations and bit flips.
+  // snapshot's own graph, naming and ε, and require every scheme's serve
+  // fingerprint on the restored arena to match the fresh build, then run the
+  // snapshot checks verify_snapshot shares with `build --verify`.
   std::printf("\naudit: rebuilding fresh stack from the snapshot graph...\n");
-  const SnapshotStack& stack = epoch->stack();
-  const MetricSpace metric(stack.graph, g_metric_options);
-  const NetHierarchy hierarchy(metric);
-  const Naming naming(*stack.naming);
-  const double eps_labeled = std::min(stack.epsilon, 0.5);
-  const HierarchicalLabeledScheme hier(metric, hierarchy, eps_labeled);
-  const ScaleFreeLabeledScheme sf(metric, hierarchy, eps_labeled);
-  const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier,
-                                           stack.epsilon);
-  const ScaleFreeNameIndependentScheme sfni(metric, hierarchy, naming, sf,
-                                            stack.epsilon);
+  const SnapshotStack& stored = epoch->stack();
+  const Stack fresh_stack(stored.graph, stored.epsilon, stored.naming.get());
 
   const std::size_t audit_pairs =
       std::min<std::size_t>(static_cast<std::size_t>(pairs), 512);
-  const audit::ServeFingerprints fresh =
-      audit::serve_fingerprints(metric.csr(), hierarchy, naming, hier, sf,
-                                simple, sfni, audit_pairs, seed);
+  const audit::ServeFingerprints fresh = audit::serve_fingerprints(
+      fresh_stack.metric.csr(), fresh_stack.hierarchy, fresh_stack.naming,
+      fresh_stack.hier, fresh_stack.sf, fresh_stack.simple, fresh_stack.sfni,
+      audit_pairs, seed);
   const audit::ServeFingerprints loaded = audit::serve_fingerprints(
       epoch->csr(), epoch->arena(), audit_pairs, seed);
 
@@ -1111,25 +1042,19 @@ int cmd_serve(std::vector<std::string> args) {
   expect_fp("labeled/scale-free", fresh.scale_free, loaded.scale_free);
   expect_fp("ni/simple", fresh.simple, loaded.simple);
   expect_fp("ni/scale-free", fresh.scale_free_ni, loaded.scale_free_ni);
-  const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
-  report.merge(audit::audit_snapshot_arena(bytes));
-  report.merge(audit::audit_snapshot_corruption(bytes, audit::Options{}));
-
-  std::printf("audit: %zu checks, %zu issues\n", report.checks,
-              report.issues.size());
-  if (!report.ok()) {
-    std::printf("%s", report.summary().c_str());
+  if (!verify_snapshot(path, report, "audit")) {
     // Post-mortem: the last ~256 routes each worker served before the
     // failing check, so a bad route can be replayed without re-running the
     // whole batch.
     const std::string dump = obs::FlightRecorder::global().dump_text();
     if (!flight_out_path.empty()) {
-      artifacts_ok &= write_output_file(flight_out_path, dump);
+      write_output_file(flight_out_path, dump);
     } else {
       std::fprintf(stderr, "%s", dump.c_str());
     }
+    return 1;
   }
-  return report.ok() && artifacts_ok ? 0 : 1;
+  return artifacts_ok ? 0 : 1;
 }
 
 /// `crtool server`: the long-running engine. Loads a snapshot as epoch 0
@@ -1140,69 +1065,42 @@ int cmd_serve(std::vector<std::string> args) {
 /// throughput, latency percentiles, shed/swap counters, and the delivered-
 /// request digest (identical across runs that shed the same requests —
 /// the CI fingerprint gate compares a reloading run against a static one).
-int cmd_server(std::vector<std::string> args) {
-  std::string out_path;
-  std::string obs_out_path;
-  std::string source_path;
-  std::uint64_t requests = 20000;
-  std::uint64_t seed = 1;
-  std::uint64_t reload_every = 0;
-  std::uint64_t queue_depth = 1024;
-  std::uint64_t shards = 0;
-  bool backpressure = false;
-  bool use_mmap = true;
+int cmd_server(const Args& args) {
+  const std::string out_path = args.text("--out", "");
+  const std::string obs_out_path = args.text("--obs-out", "");
+  const std::string source_path = args.text("--source", "");
+  const std::uint64_t requests = args.u64("--requests", 20000);
+  const std::uint64_t seed = args.u64("--seed", 1);
+  const std::uint64_t reload_every = args.u64("--reload-every", 0);
+  const std::uint64_t queue_depth = args.u64("--queue-depth", 1024);
+  const std::uint64_t shards = args.u64("--shards", 0);
+  const bool backpressure = args.has("--backpressure");
+  const bool use_mmap = !args.has("--no-mmap");
   TrafficOptions traffic;
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--requests", value)) {
-      requests = parse_u64(value, "--requests value");
-    } else if (take_option(args, i, "--seed", value)) {
-      seed = parse_u64(value, "--seed value");
-    } else if (take_option(args, i, "--traffic", value)) {
-      // kWorstPairs needs mined pairs, which a snapshot-only server cannot
-      // produce (mining routes against the metric); replay them via
-      // `--source` from a `crtool mine` file instead.
-      if (!traffic_shape_from_string(value, &traffic.shape) ||
-          traffic.shape == TrafficShape::kWorstPairs) {
-        std::fprintf(stderr,
-                     "--traffic must be 'uniform', 'zipf', or 'incast' "
-                     "(replay mined worst pairs via --source), got '%s'\n\n",
-                     value.c_str());
-        usage();
-      }
-    } else if (take_option(args, i, "--zipf-skew", value)) {
-      traffic.zipf_skew = parse_positive_double(value, "--zipf-skew value");
-    } else if (take_option(args, i, "--reload-every", value)) {
-      reload_every = parse_u64(value, "--reload-every value");
-    } else if (take_option(args, i, "--queue-depth", value)) {
-      queue_depth = parse_u64(value, "--queue-depth value");
-    } else if (take_option(args, i, "--shards", value)) {
-      shards = parse_u64(value, "--shards value");
-    } else if (take_option(args, i, "--source", value)) {
-      source_path = value;
-    } else if (take_option(args, i, "--out", value)) {
-      out_path = value;
-    } else if (take_option(args, i, "--obs-out", value)) {
-      obs_out_path = value;
-    } else if (args[i] == "--backpressure") {
-      backpressure = true;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else if (args[i] == "--no-mmap") {
-      use_mmap = false;
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
+  if (const std::string* value = args.get("--traffic")) {
+    // kWorstPairs needs mined pairs, which a snapshot-only server cannot
+    // produce (mining routes against the metric); replay them via
+    // `--source` from a `crtool mine` file instead.
+    if (!traffic_shape_from_string(*value, &traffic.shape) ||
+        traffic.shape == TrafficShape::kWorstPairs) {
+      std::fprintf(stderr,
+                   "--traffic must be 'uniform', 'zipf', or 'incast' "
+                   "(replay mined worst pairs via --source), got '%s'\n\n",
+                   value->c_str());
+      usage();
     }
   }
-  if (args.empty()) usage();
+  if (const std::string* value = args.get("--zipf-skew")) {
+    traffic.zipf_skew = parse_positive_double(*value, "--zipf-skew value");
+  }
   if (queue_depth == 0) {
     std::fprintf(stderr, "--queue-depth must be >= 1\n\n");
     usage();
   }
-  const std::string snap_a = args[0];
+  const std::string snap_a = args.positional[0];
   // With a second snapshot, reloads alternate A, B, A, ...; with one, every
   // reload re-maps the same file (a fresh epoch object and mapping each time).
-  const std::string snap_b = args.size() > 1 ? args[1] : args[0];
+  const std::string snap_b = args.positional.back();
 
   preregister_serving_metrics();
 
@@ -1268,15 +1166,7 @@ int cmd_server(std::vector<std::string> args) {
       ServerRequest request;
       request.src = static_cast<NodeId>(src);
       request.dest = static_cast<NodeId>(dest);
-      if (scheme == "hier") {
-        request.scheme = ServeScheme::kHierarchical;
-      } else if (scheme == "sf") {
-        request.scheme = ServeScheme::kScaleFree;
-      } else if (scheme == "simple") {
-        request.scheme = ServeScheme::kSimpleNi;
-      } else if (scheme == "sfni") {
-        request.scheme = ServeScheme::kScaleFreeNi;
-      } else {
+      if (!scheme_from_token(scheme, &request.scheme)) {
         std::fprintf(stderr, "unknown scheme '%s' in request line: %s\n",
                      scheme.c_str(), line.c_str());
         return 1;
@@ -1310,6 +1200,11 @@ int cmd_server(std::vector<std::string> args) {
       server.shards() * static_cast<std::size_t>(queue_depth);
   std::future<std::shared_ptr<ServerEpoch>> pending;
   std::uint64_t next_reload_at = reload_every != 0 ? reload_every : ~0ULL;
+  const auto publish_pending = [&] {
+    std::shared_ptr<ServerEpoch> next = pending.get();
+    CR_CHECK_MSG(next->n() == n, "reload snapshot changed node count");
+    server.publish(std::move(next));
+  };
 
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
@@ -1327,11 +1222,7 @@ int cmd_server(std::vector<std::string> args) {
       // the CI soak gates on) is then a deterministic function of
       // --reload-every, while requests still flow during the load whenever
       // it finishes faster than a cycle.
-      if (pending.valid()) {
-        std::shared_ptr<ServerEpoch> next = pending.get();
-        CR_CHECK_MSG(next->n() == n, "reload snapshot changed node count");
-        server.publish(std::move(next));
-      }
+      if (pending.valid()) publish_pending();
       const std::uint64_t id = next_epoch_id++;
       pending = std::async(std::launch::async, load_next, id);
       next_reload_at += reload_every;
@@ -1339,17 +1230,13 @@ int cmd_server(std::vector<std::string> args) {
     if (pending.valid() &&
         pending.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {
-      std::shared_ptr<ServerEpoch> next = pending.get();
-      CR_CHECK_MSG(next->n() == n, "reload snapshot changed node count");
-      server.publish(std::move(next));
+      publish_pending();
     }
   }
   server.drain(results);
-  if (pending.valid()) {
-    // A load still in flight at stream end: publish it anyway so the swap
-    // counter reflects every initiated reload, then retire immediately.
-    server.publish(pending.get());
-  }
+  // A load still in flight at stream end: publish it anyway so the swap
+  // counter reflects every initiated reload, then retire immediately.
+  if (pending.valid()) publish_pending();
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
   server.stop();
@@ -1389,8 +1276,10 @@ int cmd_server(std::vector<std::string> args) {
   std::printf("%-12s %12.2f\n", "p50 us", pct(0.50));
   std::printf("%-12s %12.2f\n", "p99 us", pct(0.99));
   std::printf("%-12s %12.2f\n", "p999 us", pct(0.999));
-  std::printf("%-12s %#12llx\n", "digest",
-              static_cast<unsigned long long>(digest));
+  // Hex string, on stdout and in --out: a 64-bit digest emitted as a JSON
+  // number would round through double and break exact comparison.
+  const std::string digest_hex = obs::hex_u64(digest);
+  std::printf("%-12s %s\n", "digest", digest_hex.c_str());
 
   bool artifacts_ok = true;
   if (!out_path.empty()) {
@@ -1421,223 +1310,181 @@ int cmd_server(std::vector<std::string> args) {
     doc["p50_us"] = pct(0.50);
     doc["p99_us"] = pct(0.99);
     doc["p999_us"] = pct(0.999);
-    // Hex string: a 64-bit digest emitted as a JSON number would round
-    // through double and break exact comparison (the CI fingerprint gate).
-    doc["digest"] = obs::hex_u64(digest);
+    doc["digest"] = digest_hex;
     artifacts_ok &= write_output_file(out_path, doc.dump(2) + "\n");
   }
-  if (!obs_out_path.empty()) {
-    artifacts_ok &=
-        write_output_file(obs_out_path, scrape_to_json_doc().dump(2) + "\n");
-  }
+  if (!obs_out_path.empty()) artifacts_ok &= write_scrape(obs_out_path);
   return artifacts_ok ? 0 : 1;
 }
 
-int cmd_mine(std::vector<std::string> args) {
+int cmd_mine(const Args& args) {
   audit::MineOptions options;
   options.backend = g_metric_options.backend;
-  double eps = 0.5;
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--samples", value)) {
-      options.samples = parse_u64(value, "--samples value");
-    } else if (take_option(args, i, "--keep", value)) {
-      options.keep = parse_u64(value, "--keep value");
-    } else if (take_option(args, i, "--seed", value)) {
-      options.seed = parse_u64(value, "--seed value");
-    } else if (take_option(args, i, "--eps", value)) {
-      eps = parse_positive_double(value, "--eps value");
-    } else {
-      ++i;
-    }
-  }
-  if (args.size() < 2) usage();
+  options.samples = args.u64("--samples", options.samples);
+  options.keep = args.u64("--keep", options.keep);
+  options.seed = args.u64("--seed", options.seed);
+  const std::string* eps = args.get("--eps");
+  options.epsilon = eps ? parse_eps(*eps, "--eps value") : 0.5;
   if (options.samples < 1 || options.keep < 1) {
     std::fprintf(stderr, "--samples and --keep must be >= 1\n\n");
     usage();
   }
-  options.epsilon = eps;
 
-  const Graph graph = load_graph(args[0]);
+  const std::string& graph_path = args.positional[0];
+  const Graph graph = load_graph(graph_path);
   const std::vector<audit::MinedPair> mined =
       audit::mine_worst_pairs(graph, options);
   CR_CHECK(!mined.empty());
 
   // `server --source` replay format: "src dest scheme" per line, the scheme
   // as its short token; the mined stretch rides in a trailing comment.
-  const auto token = [](ServeScheme scheme) {
-    switch (scheme) {
-      case ServeScheme::kHierarchical: return "hier";
-      case ServeScheme::kScaleFree: return "sf";
-      case ServeScheme::kSimpleNi: return "simple";
-      case ServeScheme::kScaleFreeNi: return "sfni";
-    }
-    return "hier";
-  };
   std::ostringstream body;
   body << "# crtool mine: " << mined.size() << " worst-stretch pairs of "
-       << args[0] << " (samples " << options.samples << "/scheme, seed "
-       << options.seed << ", eps " << eps << ")\n";
+       << graph_path << " (samples " << options.samples << "/scheme, seed "
+       << options.seed << ", eps " << options.epsilon << ")\n";
   for (const audit::MinedPair& pair : mined) {
     body << pair.request.src << ' ' << pair.request.dest << ' '
-         << token(pair.request.scheme) << "   # stretch " << pair.stretch
-         << '\n';
+         << scheme_token(pair.request.scheme) << "   # stretch "
+         << pair.stretch << '\n';
   }
-  if (!write_output_file(args[1], body.str())) return 1;
+  if (!write_output_file(args.positional[1], body.str())) return 1;
   std::printf("worst stretch %.3f (%s %u -> %u), %zu pairs kept\n",
-              mined.front().stretch, token(mined.front().request.scheme),
+              mined.front().stretch, scheme_token(mined.front().request.scheme),
               mined.front().request.src, mined.front().request.dest,
               mined.size());
   return 0;
 }
 
-int cmd_stats(std::vector<std::string> args) {
-  std::string format = "prom";
-  std::string out_path;
-  std::uint64_t pairs = 2000;
-  std::uint64_t seed = 1;
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--format", value)) {
-      format = value;
-    } else if (take_option(args, i, "--out", value)) {
-      out_path = value;
-    } else if (take_option(args, i, "--pairs", value)) {
-      pairs = parse_u64(value, "--pairs value");
-    } else if (take_option(args, i, "--seed", value)) {
-      seed = parse_u64(value, "--seed value");
-    } else {
-      ++i;
+/// What one subcommand accepts. parse_command_line rejects everything else.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::size_t min_positional;
+  std::size_t max_positional;
+  std::vector<std::string> options;  // take a value: --opt v or --opt=v
+  std::vector<std::string> flags;    // take none
+};
+
+const std::vector<Command> kCommands = {
+    {"gen", cmd_gen, 2, 6, {}, {}},
+    {"info", cmd_info, 1, 1, {}, {}},
+    {"route", cmd_route, 3, 4, {}, {}},
+    {"eval", cmd_eval, 1, 3, {}, {}},
+    {"trace", cmd_trace, 3, 5, {}, {}},
+    {"audit", cmd_audit, 0, 0,
+     {"--families", "--n", "--seeds", "--eps", "--backends", "--workers",
+      "--budget-s", "--out", "--inject"},
+     {"--no-shrink"}},
+    {"build", cmd_build, 1, 2, {"--out", "--schemes"}, {"--verify"}},
+    {"load-info", cmd_load_info, 1, 1, {}, {}},
+    {"serve", cmd_serve, 1, 1,
+     {"--scheme", "--pairs", "--seed", "--out", "--obs-out", "--trace-out",
+      "--flight-out"},
+     {"--audit"}},
+    {"server", cmd_server, 1, 2,
+     {"--requests", "--seed", "--traffic", "--zipf-skew", "--reload-every",
+      "--queue-depth", "--shards", "--source", "--out", "--obs-out"},
+     {"--backpressure", "--no-mmap"}},
+    {"mine", cmd_mine, 2, 2, {"--samples", "--keep", "--seed", "--eps"}, {}},
+};
+
+/// Applies a global option: --threads overrides the CR_THREADS environment
+/// variable for this process; --metric selects the MetricSpace mode for every
+/// command.
+void apply_global(const std::string& opt, const std::string& value) {
+  if (opt == "--threads") {
+    const std::uint64_t v = parse_u64(value, "--threads value");
+    if (v == 0) {
+      std::fprintf(stderr, "--threads value must be >= 1\n\n");
+      usage();
     }
-  }
-  if (format != "prom" && format != "json") {
-    std::fprintf(stderr, "--format must be 'prom' or 'json', got '%s'\n\n",
-                 format.c_str());
+    Executor::global().set_workers(static_cast<std::size_t>(v));
+  } else if (!backend_from_name(value, &g_metric_options.backend)) {
+    std::fprintf(stderr, "--metric must be 'dense' or 'rowfree', got '%s'\n\n",
+                 value.c_str());
     usage();
   }
-  if (pairs == 0) {
-    std::fprintf(stderr, "--pairs must be >= 1\n\n");
-    usage();
-  }
-
-  preregister_serving_metrics();
-  preregister_build_metrics();
-  if (!args.empty()) {
-    // Populate the registry by serving a batch per scheme from the snapshot
-    // (quietly; `crtool serve` is the verbose form).
-    const std::vector<std::uint8_t> bytes = read_snapshot_file(args[0]);
-    const SnapshotStack stack = decode_snapshot(bytes);
-    const auto labeled = make_requests(stack.n, pairs, seed, [&](NodeId v) {
-      return std::uint64_t{stack.hierarchy->leaf_label(v)};
-    });
-    const auto named = make_requests(stack.n, pairs, seed + 1, [&](NodeId v) {
-      return stack.naming->name_of(v);
-    });
-    // Subset snapshots carry null schemes; scrape whatever is present.
-    if (stack.hier) {
-      serve_batch(stack.csr, HierarchicalHopScheme(*stack.hier), labeled);
-    }
-    if (stack.sf) {
-      serve_batch(stack.csr, ScaleFreeHopScheme(*stack.sf), labeled);
-    }
-    if (stack.simple) {
-      serve_batch(stack.csr,
-                  SimpleNameIndependentHopScheme(*stack.simple, *stack.hier),
-                  named);
-    }
-    if (stack.sfni) {
-      serve_batch(stack.csr,
-                  ScaleFreeNameIndependentHopScheme(*stack.sfni, *stack.sf),
-                  named);
-    }
-  }
-
-  const std::string text = format == "json"
-                               ? scrape_to_json_doc().dump(2) + "\n"
-                               : obs::registry_to_prometheus(
-                                     *obs::scrape_global());
-  if (!out_path.empty()) return write_output_file(out_path, text) ? 0 : 1;
-  std::fputs(text.c_str(), stdout);
-  return 0;
 }
 
-}  // namespace
-
-namespace {
-
-/// Matches `--opt value` (value in the next token) or `--opt=value`. On a
-/// match, stores the value, erases the consumed tokens, and returns true with
-/// `i` left pointing at the next unread token.
-bool take_option(std::vector<std::string>& args, std::size_t& i,
-                 const std::string& opt, std::string& value) {
-  std::size_t consumed = 0;
-  if (args[i] == opt) {
-    if (i + 1 >= args.size()) {
+/// The one option parser. The first non-option token names the command;
+/// global options are applied wherever they appear; every other `--opt` must
+/// be one the command lists, as `--opt value` or `--opt=value` (a flag takes
+/// no value). An unknown command or option, a missing value, or a positional
+/// count outside the command's range exits 2.
+std::pair<const Command*, Args> parse_command_line(
+    const std::vector<std::string>& tokens) {
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  const Command* cmd = nullptr;
+  Args args;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (token.compare(0, 2, "--") != 0) {
+      if (cmd != nullptr) {
+        args.positional.push_back(token);
+        continue;
+      }
+      for (const Command& c : kCommands) {
+        if (token == c.name) cmd = &c;
+      }
+      if (cmd == nullptr) {
+        std::fprintf(stderr, "unknown command '%s'\n\n", token.c_str());
+        usage();
+      }
+      continue;
+    }
+    const std::size_t eq = token.find('=');
+    const std::string opt = token.substr(0, eq);
+    if (cmd != nullptr && listed(cmd->flags, opt)) {
+      if (eq != std::string::npos) {
+        std::fprintf(stderr, "%s takes no value\n\n", opt.c_str());
+        usage();
+      }
+      args.options[opt];
+      continue;
+    }
+    const bool global = opt == "--threads" || opt == "--metric";
+    if (!global && (cmd == nullptr || !listed(cmd->options, opt))) {
+      std::fprintf(stderr, "unknown %s option '%s'\n\n",
+                   cmd != nullptr ? cmd->name : "global", opt.c_str());
+      usage();
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = token.substr(eq + 1);
+    } else if (i + 1 < tokens.size()) {
+      value = tokens[++i];
+    } else {
       std::fprintf(stderr, "%s requires a value\n\n", opt.c_str());
       usage();
     }
-    value = args[i + 1];
-    consumed = 2;
-  } else if (args[i].compare(0, opt.size() + 1, opt + "=") == 0) {
-    value = args[i].substr(opt.size() + 1);
-    consumed = 1;
-  } else {
-    return false;
+    if (global) {
+      apply_global(opt, value);
+    } else {
+      args.options[opt] = value;
+    }
   }
-  args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-             args.begin() + static_cast<std::ptrdiff_t>(i + consumed));
-  return true;
+  if (cmd == nullptr) usage();
+  const std::size_t count = args.positional.size();
+  if (count < cmd->min_positional || count > cmd->max_positional) {
+    std::fprintf(stderr, "wrong number of arguments for %s (got %zu)\n\n",
+                 cmd->name, count);
+    usage();
+  }
+  return {cmd, args};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-
-  // Strip global options wherever they appear. --threads overrides the
-  // CR_THREADS environment variable for this process; --metric selects the
-  // MetricSpace mode for every command.
-  std::string value;
-  for (std::size_t i = 0; i < args.size();) {
-    if (take_option(args, i, "--threads", value)) {
-      const std::uint64_t v = parse_u64(value, "--threads value");
-      if (v == 0) {
-        std::fprintf(stderr, "--threads value must be >= 1\n\n");
-        usage();
-      }
-      Executor::global().set_workers(static_cast<std::size_t>(v));
-    } else if (take_option(args, i, "--metric", value)) {
-      if (!backend_from_name(value, &g_metric_options.backend)) {
-        std::fprintf(stderr, "--metric must be 'dense' or 'rowfree', got '%s'\n\n",
-                     value.c_str());
-        usage();
-      }
-    } else {
-      ++i;
-    }
-  }
-
-  if (args.empty()) usage();
-  const std::string command = args[0];
-  args.erase(args.begin());
+  const auto [command, args] =
+      parse_command_line(std::vector<std::string>(argv + 1, argv + argc));
   try {
-    if (command == "gen") return cmd_gen(args);
-    if (command == "info") return cmd_info(args);
-    if (command == "route") return cmd_route(args);
-    if (command == "eval") return cmd_eval(args);
-    if (command == "trace") return cmd_trace(args);
-    if (command == "audit") return cmd_audit(args);
-    if (command == "save") return cmd_save(args);
-    if (command == "build") return cmd_build(args);
-    if (command == "load-info") return cmd_load_info(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "server") return cmd_server(args);
-    if (command == "stats") return cmd_stats(args);
-    if (command == "mine") return cmd_mine(args);
+    return command->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
-  usage();
 }

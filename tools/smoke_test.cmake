@@ -1,4 +1,15 @@
 # Drives crtool end to end; any non-zero exit fails the test.
+
+# Runs crtool with ARGN (output discarded) and fails unless it exits `code`.
+function(expect_exit code)
+  execute_process(COMMAND ${CRTOOL} ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL code)
+    string(JOIN " " line ${ARGN})
+    message(FATAL_ERROR "crtool ${line} should exit ${code}, got ${rc}")
+  endif()
+endfunction()
+
 set(graph ${CMAKE_CURRENT_BINARY_DIR}/smoke.graph)
 execute_process(COMMAND ${CRTOOL} gen geometric ${graph} 64 2 4 3 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -76,15 +87,16 @@ execute_process(COMMAND ${CRTOOL} audit --families grid --n 32 --seeds 1
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "crtool audit --backends rowfree should exit 0, got ${rc}")
 endif()
-# Snapshot pipeline: save -> load-info -> serve (with the fingerprint audit
-# and the corruption battery) must succeed end to end.
+# Snapshot pipeline: build --out -> load-info -> serve (with the fingerprint
+# audit and the corruption battery) must succeed end to end.
 set(snap ${CMAKE_CURRENT_BINARY_DIR}/smoke.snap)
-execute_process(COMMAND ${CRTOOL} save ${graph} ${snap} 0.5 RESULT_VARIABLE rc)
+execute_process(COMMAND ${CRTOOL} build ${graph} 0.5 --out ${snap}
+                RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "crtool save failed")
+  message(FATAL_ERROR "crtool build --out failed")
 endif()
 if(NOT EXISTS ${snap})
-  message(FATAL_ERROR "crtool save did not write ${snap}")
+  message(FATAL_ERROR "crtool build did not write ${snap}")
 endif()
 execute_process(COMMAND ${CRTOOL} load-info ${snap} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -98,6 +110,26 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT EXISTS ${serving_json})
   message(FATAL_ERROR "crtool serve did not write ${serving_json}")
+endif()
+# --obs-out picks the scrape format from the file name: JSON unless it ends
+# in .prom. With telemetry compiled out the Prometheus text may be empty.
+set(scrape_json ${CMAKE_CURRENT_BINARY_DIR}/smoke_scrape.json)
+set(scrape_prom ${CMAKE_CURRENT_BINARY_DIR}/smoke_scrape.prom)
+foreach(scrape ${scrape_json} ${scrape_prom})
+  file(REMOVE ${scrape})
+  execute_process(COMMAND ${CRTOOL} serve ${snap} --pairs 50 --obs-out ${scrape}
+                  RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0 OR NOT EXISTS ${scrape})
+    message(FATAL_ERROR "crtool serve --obs-out ${scrape} failed with ${rc}")
+  endif()
+endforeach()
+file(READ ${scrape_json} head LIMIT 1)
+if(NOT head MATCHES "^[{]")
+  message(FATAL_ERROR "serve --obs-out ${scrape_json} is not JSON")
+endif()
+file(READ ${scrape_prom} head LIMIT 1)
+if(head MATCHES "^[{]")
+  message(FATAL_ERROR "serve --obs-out ${scrape_prom} is JSON, not Prometheus text")
 endif()
 # A corrupted snapshot must be rejected with exit 1 (typed error, no crash).
 # The exhaustive truncation/bit-flip battery runs in test_snapshot and inside
@@ -121,20 +153,22 @@ execute_process(COMMAND ${CRTOOL} serve ${CMAKE_CURRENT_BINARY_DIR}/absent.snap
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR "crtool serve on a missing snapshot should exit 1, got ${rc}")
 endif()
-# Non-finite and non-positive eps values must exit 2 at the CLI boundary.
-foreach(bad_eps nan inf -1 0)
+# eps outside (0, 1) — non-finite, non-positive, or >= 1 — must exit 2 at
+# the CLI boundary.
+foreach(bad_eps nan inf -1 0 1 1.5)
   execute_process(COMMAND ${CRTOOL} eval ${graph} 10 ${bad_eps}
                   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "crtool eval with eps=${bad_eps} should exit 2, got ${rc}")
   endif()
-  execute_process(COMMAND ${CRTOOL} save ${graph} ${snap}.bad ${bad_eps}
+  execute_process(COMMAND ${CRTOOL} build ${graph} ${bad_eps} --out ${snap}.bad
                   RESULT_VARIABLE rc ERROR_QUIET OUTPUT_QUIET)
   if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "crtool save with eps=${bad_eps} should exit 2, got ${rc}")
+    message(FATAL_ERROR "crtool build with eps=${bad_eps} should exit 2, got ${rc}")
   endif()
 endforeach()
-# Internet-like families: gen -> save -> mine -> server replay, end to end.
+expect_exit(2 audit --eps 1.5)
+# Internet-like families: gen -> build -> mine -> server replay, end to end.
 set(pl_graph ${CMAKE_CURRENT_BINARY_DIR}/smoke_powerlaw.graph)
 execute_process(COMMAND ${CRTOOL} gen powerlaw ${pl_graph} 64 2 7 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -162,9 +196,10 @@ if(NOT EXISTS ${mined})
   message(FATAL_ERROR "crtool mine did not write ${mined}")
 endif()
 set(pl_snap ${CMAKE_CURRENT_BINARY_DIR}/smoke_powerlaw.snap)
-execute_process(COMMAND ${CRTOOL} save ${pl_graph} ${pl_snap} 0.5 RESULT_VARIABLE rc)
+execute_process(COMMAND ${CRTOOL} build ${pl_graph} 0.5 --out ${pl_snap}
+                RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "crtool save powerlaw failed")
+  message(FATAL_ERROR "crtool build powerlaw failed")
 endif()
 foreach(shape uniform zipf incast)
   execute_process(COMMAND ${CRTOOL} server ${pl_snap} --requests 200
@@ -232,4 +267,22 @@ endif()
 execute_process(COMMAND ${CRTOOL} frobnicate RESULT_VARIABLE rc)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "crtool unknown command should exit 2, got ${rc}")
+endif()
+# The retired snapshot writer and registry dump are unknown commands now
+# (build --out and serve --obs-out do their jobs).
+expect_exit(2 save ${graph} ${snap}.old 0.5)
+expect_exit(2 stats ${snap})
+# Every command rejects an option it does not list and a surplus argument.
+set(out_snap ${CMAKE_CURRENT_BINARY_DIR}/smoke_bad.snap)
+expect_exit(2 serve ${snap} --pair 10)
+expect_exit(2 server ${pl_snap} --request 10)
+expect_exit(2 mine ${pl_graph} ${mined}.bad --sample 5)
+expect_exit(2 build ${graph} 0.5 --out ${out_snap} --bogus)
+expect_exit(2 build ${graph} 0.5 --stream --out ${out_snap})
+expect_exit(2 build ${graph} 0.5)
+expect_exit(2 info ${graph} extra)
+expect_exit(2 load-info ${snap} extra)
+expect_exit(2 route ${graph} 0 63 0.5 extra)
+if(EXISTS ${out_snap})
+  message(FATAL_ERROR "a rejected build command wrote ${out_snap}")
 endif()
