@@ -6,7 +6,7 @@
 // memberships ~ (1/ε)^O(α) log n).
 //
 // Timing comes from the obs registry: every preprocessing constructor is
-// phase-timed at the source (CR_OBS_SCOPED_TIMER in metric/nets/scheme/codec
+// phase-timed at the source (CR_OBS_SCOPED_TIMER in metric/nets/scheme
 // ctors), so this bench only resets the registry per instance and reads the
 // accumulated spans back — no ad-hoc chrono. Under CR_OBS_DISABLED the
 // timers read 0 and only the structure counts remain meaningful.
@@ -18,7 +18,6 @@
 #include <tuple>
 
 #include "bench_util.hpp"
-#include "codec/packed_router.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
 #include "graph/dijkstra.hpp"
@@ -36,9 +35,10 @@ double phase_ms(const obs::Registry& scraped, const char* name) {
   return it == scraped.timers().end() ? 0 : it->second.total_ms();
 }
 
-/// Wall-clock of one full-stack build (metric through codec) at the current
-/// worker count — the thread-sweep measurement, which needs chrono because
-/// it compares the same phases across worker counts within one process.
+/// Wall-clock of one full-stack build (metric through the name-independent
+/// schemes) at the current worker count — the thread-sweep measurement,
+/// which needs chrono because it compares the same phases across worker
+/// counts within one process.
 double build_stack_ms(const Graph& graph, double eps) {
   const auto start = std::chrono::steady_clock::now();
   const MetricSpace metric(graph);
@@ -49,7 +49,6 @@ double build_stack_ms(const Graph& graph, double eps) {
   const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier, eps);
   const ScaleFreeNameIndependentScheme ni(metric, hierarchy, naming, labeled,
                                           eps);
-  const PackedHierarchicalRouter packed(hier, metric);
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
@@ -119,12 +118,11 @@ int main() {
   std::printf("E5: preprocessing cost vs n (geometric graphs), eps=%.2f, "
               "workers=%zu\n\n",
               eps, Executor::global().workers());
-  std::printf("%6s | %9s %9s %9s %9s %9s | %8s %8s %10s\n", "n", "metric",
-              "nets", "labeled", "name-ind", "codec", "levels", "balls",
-              "mem");
-  std::printf("%6s | %9s %9s %9s %9s %9s | %8s %8s %10s\n", "", "(ms)", "(ms)",
-              "(ms)", "(ms)", "(ms)", "", "", "(bytes)");
-  print_rule(96);
+  std::printf("%6s | %9s %9s %9s %9s | %8s %8s %10s\n", "n", "metric", "nets",
+              "labeled", "name-ind", "levels", "balls", "mem");
+  std::printf("%6s | %9s %9s %9s %9s | %8s %8s %10s\n", "", "(ms)", "(ms)",
+              "(ms)", "(ms)", "", "", "(bytes)");
+  print_rule(86);
 
   obs::JsonValue doc = obs::JsonValue::object();
   doc["bench"] = "preprocessing";
@@ -143,7 +141,6 @@ int main() {
     const SimpleNameIndependentScheme simple(metric, hierarchy, naming, hier, eps);
     const ScaleFreeNameIndependentScheme ni(metric, hierarchy, naming, labeled,
                                             eps);
-    const PackedHierarchicalRouter packed(hier, metric);
 
     const auto scraped = obs::scrape_global();
     const double metric_ms = phase_ms(*scraped, "preprocess.metric");
@@ -152,16 +149,15 @@ int main() {
                               phase_ms(*scraped, "preprocess.labeled.scale_free");
     const double ni_ms = phase_ms(*scraped, "preprocess.nameind.simple") +
                          phase_ms(*scraped, "preprocess.nameind.scale_free");
-    const double codec_ms = phase_ms(*scraped, "preprocess.codec.pack");
 
     std::size_t balls = 0;
     for (int j = 0; j <= labeled.max_exponent(); ++j) {
       balls += labeled.regions(j).size();
     }
     const std::size_t mem_bytes = metric.memory_bytes();
-    std::printf("%6zu | %9.1f %9.1f %9.1f %9.1f %9.1f | %8d %8zu %10zu\n", n,
-                metric_ms, nets_ms, labeled_ms, ni_ms, codec_ms,
-                hierarchy.top_level() + 1, balls, mem_bytes);
+    std::printf("%6zu | %9.1f %9.1f %9.1f %9.1f | %8d %8zu %10zu\n", n,
+                metric_ms, nets_ms, labeled_ms, ni_ms, hierarchy.top_level() + 1,
+                balls, mem_bytes);
 
     obs::JsonValue entry = obs::JsonValue::object();
     entry["n"] = n;

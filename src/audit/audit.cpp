@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "codec/bitstream.hpp"
-#include "codec/packed_router.hpp"
 #include "codec/table_codec.hpp"
 #include "core/prng.hpp"
 #include "labeled/hierarchical_labeled.hpp"
@@ -659,40 +658,6 @@ Report audit_codec(const MetricSpace& metric,
   return report;
 }
 
-Report audit_packed_router(const MetricSpace& metric,
-                           const HierarchicalLabeledScheme& scheme,
-                           const PackedHierarchicalRouter& router,
-                           const Options& options) {
-  static constexpr char kName[] = "packed_router";
-  Report report;
-  Prng prng = Prng::split(options.seed, 0x66);
-  for (std::size_t trial = 0; trial < options.sample_pairs; ++trial) {
-    const NodeId src = static_cast<NodeId>(prng.next_below(metric.n()));
-    const NodeId dst = static_cast<NodeId>(prng.next_below(metric.n()));
-    const std::uint64_t label = scheme.label(dst);
-    const RouteResult truth = scheme.route(src, label);
-    RouteResult wire;
-    try {
-      wire = router.route(src, static_cast<NodeId>(label));
-    } catch (const std::exception& e) {
-      report.expect(false, kName, "wire-route",
-                    fmt("%u -> %u: packed route threw: %s", src, dst, e.what()));
-      continue;
-    }
-    report.expect(wire.delivered, kName, "wire-delivery",
-                  fmt("%u -> %u undelivered off the wire format", src, dst));
-    report.expect(wire.path == truth.path, kName, "next-hop-equivalence",
-                  fmt("%u -> %u: wire walk (%zu hops) ≠ scheme walk (%zu hops)",
-                      src, dst, wire.path.size() - 1, truth.path.size() - 1));
-    report.expect(std::abs(wire.cost - truth.cost) <=
-                      options.slack * std::max<Weight>(1, truth.cost),
-                  kName, "wire-cost",
-                  fmt("%u -> %u: wire cost %.6g ≠ scheme cost %.6g", src, dst,
-                      wire.cost, truth.cost));
-  }
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // audit_runtime — the strict hop-by-hop model
 // ---------------------------------------------------------------------------
@@ -940,10 +905,6 @@ Report audit_all(const MetricSpace& metric, const NetHierarchy& hierarchy,
   }
 
   report.merge(audit_codec(metric, hier, options));
-  {
-    const PackedHierarchicalRouter router(hier, metric);
-    report.merge(audit_packed_router(metric, hier, router, options));
-  }
 
   report.merge(audit_runtime(
       metric, HierarchicalHopScheme(hier),

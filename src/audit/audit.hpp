@@ -43,7 +43,6 @@ class HierarchicalLabeledScheme;
 class ScaleFreeLabeledScheme;
 class SimpleNameIndependentScheme;
 class ScaleFreeNameIndependentScheme;
-class PackedHierarchicalRouter;
 
 namespace audit {
 
@@ -148,13 +147,6 @@ Report audit_codec(const MetricSpace& metric,
                    const HierarchicalLabeledScheme& scheme,
                    const Options& options, const CodecTamper& tamper = nullptr);
 
-/// PackedHierarchicalRouter next-hop ≡ in-memory next-hop: on sampled pairs
-/// the wire-format router must reproduce the scheme's walk hop for hop.
-Report audit_packed_router(const MetricSpace& metric,
-                           const HierarchicalLabeledScheme& scheme,
-                           const PackedHierarchicalRouter& router,
-                           const Options& options);
-
 /// Executor-run coherence for one finished HopRun: path starts at src and
 /// (when delivered) ends at dst, every hop is a real graph neighbor, the
 /// accumulated cost equals the re-derived edge-weight sum, and the header
@@ -198,8 +190,8 @@ Report audit_ring_tables(const MetricSpace& metric, const HierarchyView& view,
                          const Options& options);
 
 /// The whole battery over a fully built stack: all structural auditors plus
-/// codec, packed-router, runtime (all four hop schemes) and stretch
-/// certificates (all four schemes).
+/// codec, runtime (all four hop schemes) and stretch certificates (all four
+/// schemes).
 Report audit_all(const MetricSpace& metric, const NetHierarchy& hierarchy,
                  const Naming& naming, const HierarchicalLabeledScheme& hier,
                  const ScaleFreeLabeledScheme& scale_free,

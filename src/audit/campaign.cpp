@@ -5,7 +5,6 @@
 #include <cmath>
 #include <exception>
 
-#include "codec/packed_router.hpp"
 #include "core/parallel.hpp"
 #include "core/prng.hpp"
 #include "gen/generators.hpp"

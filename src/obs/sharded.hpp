@@ -54,8 +54,8 @@ class ShardedRegistry {
   std::uint64_t instance_id_;
 };
 
-/// Scrape of the global sharded registry (what `crtool stats`, the JSON
-/// exporters, and the benches read).
+/// Scrape of the global sharded registry (what `crtool serve --obs-out`,
+/// the JSON exporters, and the benches read).
 std::shared_ptr<Registry> scrape_global();
 
 /// Zeroes the global sharded registry across all shards.

@@ -20,7 +20,6 @@
 
 #include "core/types.hpp"
 #include "graph/metric.hpp"
-#include "obs/trace.hpp"
 
 namespace compactroute {
 
@@ -31,10 +30,6 @@ struct RouteResult {
   /// the true metric distance between consecutive nodes.
   Path path;
   Weight cost = 0;
-  /// Per-hop phase-tagged telemetry. Populated by the strict hop-by-hop
-  /// runtime (hop_route / execute_hops); monolithic route() implementations
-  /// leave it empty, as does a CR_OBS_DISABLED build.
-  RouteTrace trace;
 };
 
 /// Sums metric distances over consecutive path entries.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/bits.hpp"
-#include "core/check.hpp"
 #include "obs/metrics.hpp"
 
 namespace compactroute {
@@ -54,43 +53,28 @@ HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId s
   run.initial_header_bits = header.encoded_bits(metric.n(), metric.num_levels());
   run.max_header_bits = run.initial_header_bits;
 
-  NodeId at = src;
-  NodeId next = kInvalidNode;
-  for (std::size_t hop = 0; hop <= max_hops; ++hop) {
-    if (scheme.step(at, header, &next)) {
-      run.delivered = true;
-      CR_OBS_COUNT("runtime.routes");
-      return run;
-    }
-    // The forwarding model: the next node must be a physical neighbor.
-    const Weight edge = metric.graph().edge_weight(at, next);
-    CR_CHECK_MSG(edge < kInfiniteWeight,
-                 "scheme forwarded to a non-neighbor — locality violation");
-    const Weight hop_cost = edge / metric.normalization_scale();
-    run.cost += hop_cost;
-    const std::size_t bits = header.encoded_bits(metric.n(), metric.num_levels());
-    run.max_header_bits = std::max(run.max_header_bits, bits);
+  const CsrGraph& csr = metric.csr();
+  walk_hops(csr, scheme, header, src, max_hops,
+            [&](NodeId at, NodeId next, const HopHeader& hop_header) {
+              // walk_hops certified the arc; CSR rows are sorted by target.
+              const auto targets = csr.arc_targets(at);
+              const auto arc = std::lower_bound(targets.begin(), targets.end(), next);
+              const Weight hop_cost = csr.arc_weights(at)[arc - targets.begin()] /
+                                      metric.normalization_scale();
+              run.cost += hop_cost;
+              const std::size_t bits =
+                  hop_header.encoded_bits(metric.n(), metric.num_levels());
+              run.max_header_bits = std::max(run.max_header_bits, bits);
 #ifndef CR_OBS_DISABLED
-    run.trace.hops.push_back(
-        TraceHop{at, next, hop_cost, scheme.phase_of(header), bits});
-    CR_OBS_COUNT("runtime.hops");
+              run.trace.hops.push_back(
+                  TraceHop{at, next, hop_cost, scheme.phase_of(hop_header), bits});
+              CR_OBS_COUNT("runtime.hops");
 #endif
-    at = next;
-    run.path.push_back(at);
-  }
-  CR_CHECK_MSG(false, "hop budget exhausted — scheme did not converge");
+              run.path.push_back(next);
+            });
+  run.delivered = true;
+  CR_OBS_COUNT("runtime.routes");
   return run;
-}
-
-RouteResult hop_route(const MetricSpace& metric, const HopScheme& scheme,
-                      NodeId src, std::uint64_t dest_key, std::size_t max_hops) {
-  HopRun run = execute_hops(metric, scheme, src, dest_key, max_hops);
-  RouteResult result;
-  result.delivered = run.delivered;
-  result.path = std::move(run.path);
-  result.cost = run.cost;
-  result.trace = std::move(run.trace);
-  return result;
 }
 
 }  // namespace compactroute

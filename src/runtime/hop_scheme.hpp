@@ -6,10 +6,13 @@
 // per-node tables, but implicitly). This runtime makes the locality claim
 // mechanical: a scheme is expressed as a pure *step function*
 //     (current node, packet header)  ->  (deliver | next neighbor, header')
-// and the executor physically forwards the packet, CHECKING that every next
-// hop is a graph neighbor of the current node and metering the true header size.
-// This is the routing-algorithm model of Section 1 of the paper, executable.
+// and walk_hops physically forwards the packet, CHECKING that every next hop
+// is a graph neighbor of the current node. It is the library's only hop loop:
+// execute_hops (paths, costs, header bits, traces) and serve_one (serving
+// fingerprints) are walk_hops plus a per-hop action. This is the
+// routing-algorithm model of Section 1 of the paper, executable.
 //
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -17,10 +20,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/check.hpp"
 #include "core/types.hpp"
+#include "graph/csr.hpp"
 #include "graph/metric.hpp"
 #include "obs/trace.hpp"
-#include "routing/scheme.hpp"
 
 namespace compactroute {
 
@@ -84,6 +88,41 @@ class HopScheme {
 /// scheme's longest legal walk, tight enough to catch a scheme that loops.
 inline std::size_t default_hop_budget(std::size_t n) { return 64 * n + 1024; }
 
+/// The one hop loop. Steps `scheme` from `src` with the caller-built
+/// `header`, certifies that every forward is a CSR arc of the current node,
+/// and calls on_hop(at, next, header) once per certified hop, with the
+/// post-decision header. Returns the number of hops once the scheme
+/// delivers; throws InvariantError if it forwards to a non-neighbor or has
+/// not delivered within max_hops hops. on_hop is a template parameter so
+/// the per-hop action inlines into the loop.
+template <typename OnHop>
+std::size_t walk_hops(const CsrGraph& csr, const HopScheme& scheme,
+                      HopHeader& header, NodeId src, std::size_t max_hops,
+                      OnHop&& on_hop) {
+  NodeId at = src;
+  NodeId next = kInvalidNode;
+  for (std::size_t hops = 0; hops <= max_hops; ++hops) {
+    // In-place stepping: the arena runtimes mutate the header with zero
+    // allocations.
+    if (scheme.step(at, header, &next)) return hops;
+    // The locality contract: every forwarded hop must be a real graph edge.
+    // Low-degree spans (the common case in doubling metrics) certify with a
+    // branchless sweep; CSR targets are sorted, so high degrees bisect.
+    const auto targets = csr.arc_targets(at);
+    bool is_edge = false;
+    if (targets.size() <= 16) {
+      for (const NodeId t : targets) is_edge |= (t == next);
+    } else {
+      is_edge = std::binary_search(targets.begin(), targets.end(), next);
+    }
+    CR_CHECK_MSG(is_edge, "scheme forwarded to a non-neighbor — locality violation");
+    on_hop(at, next, header);
+    at = next;
+  }
+  CR_CHECK_MSG(false, "hop budget exhausted — scheme did not converge");
+  return 0;
+}
+
 struct HopRun {
   bool delivered = false;
   Path path;        // every consecutive pair is a graph edge
@@ -96,15 +135,10 @@ struct HopRun {
   RouteTrace trace;  // phase-tagged hops; empty under CR_OBS_DISABLED
 };
 
-/// Executes the scheme hop by hop from src. Throws InvariantError if the
-/// scheme ever forwards to a non-neighbor or exceeds max_hops.
+/// walk_hops from src, recording the path, the normalized edge-weight cost,
+/// the metered header size and the phase-tagged trace. Throws InvariantError
+/// if the scheme ever forwards to a non-neighbor or exceeds max_hops.
 HopRun execute_hops(const MetricSpace& metric, const HopScheme& scheme, NodeId src,
                     std::uint64_t dest_key, std::size_t max_hops = 0);
-
-/// Same execution, shaped as a RouteResult (the trace rides along) — the
-/// bridge between the strict runtime and RouteResult-based evaluation.
-RouteResult hop_route(const MetricSpace& metric, const HopScheme& scheme,
-                      NodeId src, std::uint64_t dest_key,
-                      std::size_t max_hops = 0);
 
 }  // namespace compactroute

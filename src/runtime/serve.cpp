@@ -16,13 +16,6 @@ namespace compactroute {
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
   const double rank = q * static_cast<double>(sorted.size() - 1);
@@ -52,38 +45,13 @@ std::vector<ServeRequest> make_requests(
 std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
                         const ServeRequest& request, std::size_t max_hops,
                         std::size_t* hops) {
-  constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-  NodeId at = request.src;
   HopHeader header = scheme.make_header(request.src, request.dest_key);
-  std::uint64_t fp = (request.dest_key * kFnvPrime) ^ request.src;
-  std::size_t hop_count = 0;
-  bool done = false;
-  NodeId next = kInvalidNode;
-  while (hop_count <= max_hops) {
-    // In-place stepping: the arena runtimes mutate the header with zero
-    // allocations.
-    if (scheme.step(at, header, &next)) {
-      done = true;
-      break;
-    }
-    // The locality contract: every forwarded hop must be a real graph edge.
-    // Low-degree spans (the common case in doubling metrics) certify with a
-    // branchless sweep; CSR targets are sorted, so high degrees bisect.
-    const auto targets = csr.arc_targets(at);
-    bool is_edge = false;
-    if (targets.size() <= 16) {
-      for (const NodeId t : targets) is_edge |= (t == next);
-    } else {
-      is_edge = std::binary_search(targets.begin(), targets.end(), next);
-    }
-    CR_CHECK_MSG(is_edge, "serve: scheme forwarded to a non-neighbor");
-    at = next;
-    fp = (fp ^ at) * kFnvPrime;
-    ++hop_count;
-  }
-  CR_CHECK_MSG(done, "serve: hop budget exceeded");
+  RouteFingerprint fp(request.src, request.dest_key);
+  const std::size_t hop_count =
+      walk_hops(csr, scheme, header, request.src, max_hops,
+                [&fp](NodeId, NodeId next, const HopHeader&) { fp.visit(next); });
   if (hops != nullptr) *hops = hop_count;
-  return fp;
+  return fp.value;
 }
 
 ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
@@ -113,8 +81,9 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
   const std::size_t sample_every =
       obs::SpanCollector::global().enabled() ? options.span_sample_every : 0;
 #endif
-  parallel_for("serve.batch", count, 64, [&](std::size_t first,
-                                             std::size_t last) {
+  constexpr std::size_t kChunk = 64;
+  parallel_for("serve.batch", count, kChunk, [&](std::size_t first,
+                                                 std::size_t last) {
 #ifndef CR_OBS_DISABLED
     // Shard handles resolve once per chunk (each lookup locks the shard's
     // own mutex); the steady-state per-request cost is two relaxed
@@ -170,28 +139,19 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
     // requests revisit overlapping arena rows while they are still cached.
     // Outputs land in per-index slots, so order never affects results.
     const std::size_t len = last - first;
-    std::uint32_t order_buf[64];
-    std::vector<std::uint32_t> order_spill;
-    std::uint32_t* order = nullptr;
-    if (options.sort_by_dest) {
-      if (len > 64) {
-        order_spill.resize(len);
-        order = order_spill.data();
-      } else {
-        order = order_buf;
-      }
-      for (std::size_t k = 0; k < len; ++k) {
-        order[k] = static_cast<std::uint32_t>(first + k);
-      }
-      std::sort(order, order + len, [&](std::uint32_t a, std::uint32_t b) {
-        if (requests[a].dest_key != requests[b].dest_key) {
-          return requests[a].dest_key < requests[b].dest_key;
-        }
-        return a < b;
-      });
-    }
+    CR_DCHECK(len <= kChunk);  // parallel_for's chunk contract
+    std::uint32_t order[kChunk];
     for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t i = order != nullptr ? order[k] : first + k;
+      order[k] = static_cast<std::uint32_t>(first + k);
+    }
+    std::sort(order, order + len, [&](std::uint32_t a, std::uint32_t b) {
+      if (requests[a].dest_key != requests[b].dest_key) {
+        return requests[a].dest_key < requests[b].dest_key;
+      }
+      return a < b;
+    });
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t i = order[k];
 #ifndef CR_OBS_DISABLED
       if (sample_every != 0 && i % sample_every == 0) {
         obs::SpanScope span("serve.request", "serve");
@@ -214,7 +174,7 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
       elapsed_s > 0 ? static_cast<double>(count) / elapsed_s : 0;
   for (std::size_t i = 0; i < count; ++i) {
     stats.total_hops += hop_counts[i];
-    stats.fingerprint ^= mix64(fingerprints[i] + 0x9e3779b97f4a7c15ULL * (i + 1));
+    stats.fingerprint = fold_batch_digest(stats.fingerprint, fingerprints[i], i);
   }
   if (options.collect_latencies && count > 0) {
     std::sort(latencies_us.begin(), latencies_us.end());

@@ -12,10 +12,13 @@
 // count and a running fingerprint).
 //
 // Fingerprints: each request folds its visited node sequence into a 64-bit
-// FNV-style hash; the batch combines per-request fingerprints XOR-wise after
-// mixing in the request index, so the total is independent of both worker
-// count and scheduling order, and equal between a fresh build and a loaded
-// snapshot exactly when every route taken is identical.
+// FNV-style hash (RouteFingerprint); a batch combines per-request
+// fingerprints XOR-wise after mixing in the request index (fold_batch_digest),
+// so the total is independent of both worker count and scheduling order, and
+// equal between a fresh build and a loaded snapshot exactly when every route
+// taken is identical. Every serve digest in the library (serve_batch,
+// Server::delivered_digest, ServerEpoch's self-fingerprint) folds through
+// these two definitions.
 //
 #include <cstddef>
 #include <cstdint>
@@ -49,11 +52,6 @@ struct ServeOptions {
   /// "serve.request" span for every N-th request of the batch. 0 disables
   /// request spans.
   std::size_t span_sample_every = 0;
-  /// Sort each worker's chunk by destination key before dispatch, so
-  /// consecutive requests walk overlapping arena rows (warm slab lines).
-  /// Output slots are per-request-index, so stats and fingerprints are
-  /// unaffected by the dispatch order.
-  bool sort_by_dest = true;
 };
 
 struct ServeStats {
@@ -73,6 +71,34 @@ struct ServeStats {
   std::uint64_t fingerprint = 0;
 };
 
+/// Per-route fingerprint: seeded with the request, then folded with every
+/// node the packet is forwarded to (FNV-1a style, 64-bit prime).
+struct RouteFingerprint {
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t value;
+
+  RouteFingerprint(NodeId src, std::uint64_t dest_key)
+      : value((dest_key * kPrime) ^ src) {}
+  void visit(NodeId at) { value = (value ^ at) * kPrime; }
+};
+
+/// splitmix64 finalizer.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Per-batch fold: XORs request `index`'s route fingerprint, mixed with its
+/// position, into `digest`. Order-independent, so any dispatch order (and
+/// any subset, e.g. only the delivered requests) folds to one value.
+inline std::uint64_t fold_batch_digest(std::uint64_t digest,
+                                       std::uint64_t fingerprint,
+                                       std::size_t index) {
+  return digest ^ mix64(fingerprint + 0x9e3779b97f4a7c15ULL * (index + 1));
+}
+
 /// Deterministic request batch: `count` (src, dest) pairs with src != dest,
 /// drawn from a seeded Prng; dest_key_of maps the destination node to the
 /// scheme's key space (leaf label or original name).
@@ -87,9 +113,10 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
                        const std::vector<ServeRequest>& requests,
                        const ServeOptions& options = {});
 
-/// Fingerprint of one request's route (the serve_batch inner loop, exposed
-/// so audits can compare individual routes); outputs the hop count. Throws
-/// InvariantError unless the route is delivered within max_hops.
+/// Fingerprint of one request's route: walk_hops plus the RouteFingerprint
+/// fold (the serve_batch inner loop, exposed so audits can compare
+/// individual routes); outputs the hop count. Throws InvariantError unless
+/// the route is delivered within max_hops.
 std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
                         const ServeRequest& request, std::size_t max_hops,
                         std::size_t* hops);

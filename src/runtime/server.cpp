@@ -18,17 +18,6 @@ namespace compactroute {
 
 namespace {
 
-// serve_batch's request-index mixer (splitmix64 finalizer) — same constants,
-// so delivered_digest over a full un-shed batch equals the batch fingerprint.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
 /// Seed of the fixed per-epoch self-audit batch. The batch is a function of
 /// (seed, scheme, n) only, so the same snapshot loaded twice — or audited at
 /// load time and again mid-flip — serves identical requests.
@@ -232,8 +221,7 @@ std::uint64_t ServerEpoch::compute_self_fingerprint() const {
       NodeId dest = static_cast<NodeId>(prng.next_below(n_ - 1));
       if (dest >= request.src) ++dest;
       request.dest = dest;
-      const std::uint64_t fp = serve(request, 0, nullptr);
-      digest ^= mix64(fp + kGolden * (k + 1));
+      digest = fold_batch_digest(digest, serve(request, 0, nullptr), k);
     }
   }
   return digest;
@@ -415,7 +403,7 @@ std::uint64_t Server::delivered_digest(
         ServeStatus::kDelivered) {
       continue;
     }
-    digest ^= mix64(results[i].fingerprint + kGolden * (i + 1));
+    digest = fold_batch_digest(digest, results[i].fingerprint, i);
   }
   return digest;
 }

@@ -275,9 +275,10 @@ class Server {
   ServerCounters counters() const;
 
   /// serve_batch's order-independent digest over the delivered slots of
-  /// `results` (mix-by-id fold). Equal to the full-batch fingerprint when
-  /// nothing was shed; any subset of delivered ids yields the same
-  /// contribution per id, so two runs shedding the same requests agree.
+  /// `results` (fold_batch_digest by id). Equal to the full-batch
+  /// fingerprint when nothing was shed; any subset of delivered ids yields
+  /// the same contribution per id, so two runs shedding the same requests
+  /// agree.
   static std::uint64_t delivered_digest(const std::vector<ServerResult>& results);
 
  private:

@@ -6,7 +6,6 @@
 
 #include "audit/audit.hpp"
 #include "audit/campaign.hpp"
-#include "codec/packed_router.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
 #include "labeled/hierarchical_labeled.hpp"
@@ -273,21 +272,7 @@ TEST(AuditMutation, CodecCatchesTamperedBytes) {
   EXPECT_FALSE(report.ok());
 }
 
-// Defect 10: corrupted packed-router blobs — the wire walk diverges from the
-// in-memory scheme (or the decoder throws); either way the auditor reports.
-TEST(AuditMutation, PackedRouterCatchesBlobCorruption) {
-  Stack& s = stack();
-  PackedHierarchicalRouter router(s.hier, s.metric);
-  const Report clean = audit_packed_router(s.metric, s.hier, router, opts());
-  EXPECT_TRUE(clean.ok()) << clean.summary();
-  for (NodeId u = 0; u < s.metric.n(); ++u) {
-    router.audit_view().blob(u)[0] ^= 0xFF;
-  }
-  const Report report = audit_packed_router(s.metric, s.hier, router, opts());
-  EXPECT_FALSE(report.ok());
-}
-
-// Defect 11: the executor's header meter under-reports — the metering
+// Defect 10: the executor's header meter under-reports — the metering
 // invariant max >= initial (and == the per-hop trace) must notice.
 TEST(AuditMutation, HopRunCatchesHeaderMeterUnderReport) {
   Stack& s = stack();
@@ -300,7 +285,7 @@ TEST(AuditMutation, HopRunCatchesHeaderMeterUnderReport) {
   EXPECT_TRUE(has_invariant(report, "header-bit-metering")) << report.summary();
 }
 
-// Defect 12: the run's accumulated cost disagrees with its own path.
+// Defect 11: the run's accumulated cost disagrees with its own path.
 TEST(AuditMutation, HopRunCatchesCostMisreport) {
   Stack& s = stack();
   const HierarchicalHopScheme hop(s.hier);
@@ -313,7 +298,7 @@ TEST(AuditMutation, HopRunCatchesCostMisreport) {
   EXPECT_TRUE(has_invariant(report, "cost-metering")) << report.summary();
 }
 
-// Defect 13: a teleport hop — consecutive path nodes with no graph edge.
+// Defect 12: a teleport hop — consecutive path nodes with no graph edge.
 TEST(AuditMutation, HopRunCatchesTeleportHop) {
   Stack& s = stack();
   const HierarchicalHopScheme hop(s.hier);
@@ -325,7 +310,7 @@ TEST(AuditMutation, HopRunCatchesTeleportHop) {
   EXPECT_TRUE(has_invariant(report, "hop-locality")) << report.summary();
 }
 
-// Defect 14: a stored pair whose key drifted out of its node's declared
+// Defect 13: a stored pair whose key drifted out of its node's declared
 // chunk range — the Algorithm 1 placement invariant is broken.
 TEST(AuditMutation, SearchTreeCatchesMisplacedStoredPair) {
   Stack& s = stack();
@@ -348,7 +333,7 @@ TEST(AuditMutation, SearchTreeCatchesMisplacedStoredPair) {
   EXPECT_TRUE(has_invariant(report, "own-range")) << report.summary();
 }
 
-// Defect 15: a shrunken subtree key range — the Algorithm 2 descent can no
+// Defect 14: a shrunken subtree key range — the Algorithm 2 descent can no
 // longer reach keys that are really stored below it.
 TEST(AuditMutation, SearchTreeCatchesCorruptedSubtreeRange) {
   Stack& s = stack();
@@ -367,7 +352,7 @@ TEST(AuditMutation, SearchTreeCatchesCorruptedSubtreeRange) {
   EXPECT_FALSE(report.ok()) << report.summary();
 }
 
-// Defect 16: a scheme that lies about its cost — the certificate recomputes
+// Defect 15: a scheme that lies about its cost — the certificate recomputes
 // the walk's metric cost and compares.
 TEST(AuditMutation, StretchCertificateCatchesDishonestCost) {
   Stack& s = stack();
@@ -383,7 +368,7 @@ TEST(AuditMutation, StretchCertificateCatchesDishonestCost) {
   EXPECT_TRUE(has_invariant(report, "cost-honest")) << report.summary();
 }
 
-// Defect 17: a wasteful walk — honest cost, but far beyond the stretch
+// Defect 16: a wasteful walk — honest cost, but far beyond the stretch
 // ceiling of the scheme.
 TEST(AuditMutation, StretchCertificateCatchesStretchViolation) {
   Stack& s = stack();

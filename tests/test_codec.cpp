@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "codec/bitstream.hpp"
-#include "codec/packed_router.hpp"
 #include "codec/table_codec.hpp"
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
@@ -167,55 +166,6 @@ TEST(TableCodec, HierarchicalTableRoundTrip) {
                     original.next_hop);
         }
       }
-    }
-  }
-}
-
-TEST(PackedRouter, RoutesIdenticallyFromBlobsAlone) {
-  // The serialized tables alone must reproduce the scheme's walks exactly.
-  const Graph g = make_random_geometric(100, 2, 4, 77);
-  const MetricSpace metric(g);
-  const NetHierarchy hierarchy(metric);
-  const HierarchicalLabeledScheme scheme(metric, hierarchy, 0.5);
-  const PackedHierarchicalRouter packed(scheme, metric);
-
-  Prng prng(13);
-  for (int trial = 0; trial < 300; ++trial) {
-    const NodeId u = static_cast<NodeId>(prng.next_below(metric.n()));
-    const NodeId v = static_cast<NodeId>(prng.next_below(metric.n()));
-    const RouteResult reference = scheme.route(u, scheme.label(v));
-    const RouteResult from_blobs =
-        packed.route(u, static_cast<NodeId>(scheme.label(v)));
-    ASSERT_TRUE(from_blobs.delivered);
-    EXPECT_EQ(from_blobs.path, reference.path);
-  }
-}
-
-TEST(PackedRouter, BlobSizesMatchAccounting) {
-  const Graph g = make_grid(8, 8);
-  const MetricSpace metric(g);
-  const NetHierarchy hierarchy(metric);
-  const HierarchicalLabeledScheme scheme(metric, hierarchy, 0.5);
-  const PackedHierarchicalRouter packed(scheme, metric);
-  for (NodeId u = 0; u < metric.n(); ++u) {
-    EXPECT_GT(packed.blob_bits(u), 0u);
-    EXPECT_LE(packed.blob(u).size() * 8, packed.blob_bits(u) + 7);
-    // Within a small factor of the scheme's own accounting.
-    EXPECT_LE(packed.blob_bits(u), 2 * scheme.storage_bits(u) + 512);
-  }
-}
-
-TEST(PackedRouter, WorksOnDeepSpider) {
-  const Graph g = make_exponential_spider(12, 4);
-  const MetricSpace metric(g);
-  const NetHierarchy hierarchy(metric);
-  const HierarchicalLabeledScheme scheme(metric, hierarchy, 0.5);
-  const PackedHierarchicalRouter packed(scheme, metric);
-  for (NodeId u = 0; u < metric.n(); u += 3) {
-    for (NodeId v = 0; v < metric.n(); v += 5) {
-      const RouteResult r = packed.route(u, static_cast<NodeId>(scheme.label(v)));
-      ASSERT_TRUE(r.delivered);
-      EXPECT_EQ(r.path.back(), v);
     }
   }
 }
@@ -385,17 +335,22 @@ TEST(BitStream, OverlongVarintIsRejected) {
 
 TEST(TableCodec, EncodedSizeTracksAccountedSize) {
   // The packed table must be in the same ballpark as (and not wildly larger
-  // than) the storage_bits() accounting for the ring component.
-  const Graph g = make_grid(9, 9);
-  const MetricSpace metric(g);
-  const NetHierarchy hierarchy(metric);
-  const HierarchicalLabeledScheme scheme(metric, hierarchy, 0.5);
-  for (NodeId u = 0; u < metric.n(); u += 11) {
-    std::size_t bits = 0;
-    encode_hierarchical_table(scheme, metric, u, &bits);
-    const std::size_t accounted = scheme.storage_bits(u);
-    EXPECT_LE(bits, 2 * accounted + 256);
-    EXPECT_GE(4 * bits + 256, accounted);
+  // than) the storage_bits() accounting for the ring component, at every
+  // node.
+  for (const std::size_t side : {8u, 9u}) {
+    const Graph g = make_grid(side, side);
+    const MetricSpace metric(g);
+    const NetHierarchy hierarchy(metric);
+    const HierarchicalLabeledScheme scheme(metric, hierarchy, 0.5);
+    for (NodeId u = 0; u < metric.n(); ++u) {
+      std::size_t bits = 0;
+      const std::vector<std::uint8_t> blob =
+          encode_hierarchical_table(scheme, metric, u, &bits);
+      EXPECT_LE(blob.size() * 8, bits + 7);
+      const std::size_t accounted = scheme.storage_bits(u);
+      EXPECT_LE(bits, 2 * accounted + 256);
+      EXPECT_GE(4 * bits + 256, accounted);
+    }
   }
 }
 

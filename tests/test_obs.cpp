@@ -332,7 +332,7 @@ struct TraceFixture {
 void expect_trace_invariants(const MetricSpace& metric, const HopScheme& scheme,
                              NodeId src, [[maybe_unused]] NodeId dst,
                              std::uint64_t dest_key) {
-  const RouteResult r = hop_route(metric, scheme, src, dest_key);
+  const HopRun r = execute_hops(metric, scheme, src, dest_key);
   ASSERT_TRUE(r.delivered);
 #ifdef CR_OBS_DISABLED
   EXPECT_TRUE(r.trace.empty());
@@ -393,7 +393,7 @@ TEST(RouteTrace, DeepSpiderProducesMultiplePhases) {
     const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
     const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
     if (u == v) continue;
-    const RouteResult r = hop_route(f.metric, hop, u, f.sf.label(v));
+    const HopRun r = execute_hops(f.metric, hop, u, f.sf.label(v));
     ASSERT_TRUE(r.delivered);
     const auto hops = r.trace.phase_hops();
     std::size_t phases_used = 0;
@@ -408,7 +408,7 @@ TEST(RouteTrace, TraceToJsonRoundTrips) {
   const TraceFixture f(make_grid(6, 6));
   const SimpleNameIndependentHopScheme hop(f.simple, f.hier);
   const NodeId u = 0, v = 35;
-  const RouteResult r = hop_route(f.metric, hop, u, f.naming.name_of(v));
+  const HopRun r = execute_hops(f.metric, hop, u, f.naming.name_of(v));
   ASSERT_TRUE(r.delivered);
   ASSERT_FALSE(r.trace.empty());
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 
 #include "core/prng.hpp"
@@ -18,6 +19,7 @@
 #include "runtime/hop_scale_free_ni.hpp"
 #include "runtime/hop_scheme.hpp"
 #include "runtime/hop_simple_ni.hpp"
+#include "runtime/serve.hpp"
 #include "test_util.hpp"
 
 namespace compactroute {
@@ -199,7 +201,9 @@ TEST(HopRuntime, ExecutorRejectsNonNeighborForwarding) {
       h.dest = dest;
       return h;
     }
-    bool step(NodeId, HopHeader& h, NodeId* next) const override {
+    bool step(NodeId at, HopHeader& h, NodeId* next) const override {
+      // Delivers on arrival, so only the locality check can reject the walk.
+      if (at == h.dest) return true;
       *next = static_cast<NodeId>(h.dest);  // jump straight to the target
       return false;
     }
@@ -207,6 +211,9 @@ TEST(HopRuntime, ExecutorRejectsNonNeighborForwarding) {
   const MetricSpace metric(make_path(16));
   const Teleporter scheme;
   EXPECT_THROW(execute_hops(metric, scheme, 0, 15), InvariantError);
+  EXPECT_THROW(serve_one(metric.csr(), scheme, ServeRequest{0, 15},
+                         default_hop_budget(metric.n()), nullptr),
+               InvariantError);
 }
 
 TEST(HopRuntime, ExecutorEnforcesHopBudget) {
@@ -227,6 +234,52 @@ TEST(HopRuntime, ExecutorEnforcesHopBudget) {
   const Bouncer scheme;
   EXPECT_THROW(execute_hops(metric, scheme, 0, 7, /*max_hops=*/50),
                InvariantError);
+  EXPECT_THROW(serve_one(metric.csr(), scheme, ServeRequest{0, 7},
+                         /*max_hops=*/50, nullptr),
+               InvariantError);
+}
+
+// The two entry points of the one hop loop must agree route for route:
+// serve_one's hop count is execute_hops' path length, and its fingerprint
+// is the exported route fold over execute_hops' path.
+void expect_serve_one_matches_execute_hops(
+    const MetricSpace& metric, const HopScheme& scheme,
+    const std::function<std::uint64_t(NodeId)>& dest_key_of) {
+  const std::size_t budget = default_hop_budget(metric.n());
+  for (NodeId u = 0; u < metric.n(); ++u) {
+    for (NodeId v = 0; v < metric.n(); v += 3) {
+      const std::uint64_t key = dest_key_of(v);
+      const HopRun run = execute_hops(metric, scheme, u, key);
+      std::size_t hops = 0;
+      const std::uint64_t fp =
+          serve_one(metric.csr(), scheme, ServeRequest{u, key}, budget, &hops);
+      SCOPED_TRACE(scheme.name() + " " + std::to_string(u) + " -> " +
+                   std::to_string(v));
+      ASSERT_EQ(hops, run.path.size() - 1);
+      RouteFingerprint fold(u, key);
+      for (std::size_t i = 1; i < run.path.size(); ++i) fold.visit(run.path[i]);
+      ASSERT_EQ(fp, fold.value);
+    }
+  }
+}
+
+TEST(HopRuntime, ServeOneAgreesWithExecuteHops) {
+  const std::pair<Graph, double> cases[] = {
+      {make_grid(8, 8), 0.5}, {make_exponential_spider(16, 4), 0.25}};
+  for (const auto& [graph, eps] : cases) {
+    const Fixture f(graph, eps);
+    const auto label = [&f](NodeId v) { return f.hier.label(v); };
+    const auto sf_label = [&f](NodeId v) { return f.sf.label(v); };
+    const auto name = [&f](NodeId v) { return f.naming.name_of(v); };
+    expect_serve_one_matches_execute_hops(f.metric, HierarchicalHopScheme(f.hier),
+                                          label);
+    expect_serve_one_matches_execute_hops(f.metric, ScaleFreeHopScheme(f.sf),
+                                          sf_label);
+    expect_serve_one_matches_execute_hops(
+        f.metric, SimpleNameIndependentHopScheme(f.simple, f.hier), name);
+    expect_serve_one_matches_execute_hops(
+        f.metric, ScaleFreeNameIndependentHopScheme(f.sfni, f.sf), name);
+  }
 }
 
 TEST(HopRuntime, ScaleFreeNameIndependentOnDeepSpider) {

@@ -134,8 +134,9 @@ namespace {
                "  --eps LIST           epsilon values (default 0.5)\n"
                "  --backends LIST      metric modes (default dense,rowfree)\n"
                "  --workers LIST       executor worker counts (default 1,4)\n"
-               "  --budget-s S         wall-clock budget; the sweep stops\n"
-               "                       between cases (default 0 = full grid)\n"
+               "  --budget-s S         wall-clock budget in seconds (S > 0);\n"
+               "                       the sweep stops between cases\n"
+               "                       (default: no budget, full grid)\n"
                "  --out FILE           write the JSON campaign report\n"
                "  --no-shrink          skip shrinking the first failure\n"
                "audit exits 0 when every check passes, 1 on any violation.\n"
@@ -401,66 +402,77 @@ int cmd_gen(const Args& args) {
                  family.c_str(), max_params->second, rest.size());
     usage();
   }
+  // Each family's size preconditions are the generator's own CR_CHECKs,
+  // checked here first so a degenerate size is a usage error (exit 2).
+  const auto need = [&family](bool ok, const char* rule) {
+    if (ok) return;
+    std::fprintf(stderr, "gen %s needs %s\n\n", family.c_str(), rule);
+    usage();
+  };
   Graph graph;
   if (family == "grid") {
-    graph = make_grid(arg_u64(rest, 0, 16), arg_u64(rest, 1, 16));
+    const std::uint64_t w = arg_u64(rest, 0, 16), h = arg_u64(rest, 1, 16);
+    need(w >= 1 && h >= 1 && w * h >= 2, "W >= 1, H >= 1 and W*H >= 2");
+    graph = make_grid(w, h);
   } else if (family == "torus") {
-    graph = make_torus(arg_u64(rest, 0, 16), arg_u64(rest, 1, 16));
+    const std::uint64_t w = arg_u64(rest, 0, 16), h = arg_u64(rest, 1, 16);
+    need(w >= 3 && h >= 3, "W >= 3 and H >= 3");
+    graph = make_torus(w, h);
   } else if (family == "geometric") {
-    graph = make_random_geometric(arg_u64(rest, 0, 256),
-                                  static_cast<int>(arg_u64(rest, 1, 2)),
-                                  arg_u64(rest, 2, 5), arg_u64(rest, 3, 1));
+    const std::uint64_t n = arg_u64(rest, 0, 256), dim = arg_u64(rest, 1, 2);
+    const std::uint64_t k = arg_u64(rest, 2, 5);
+    need(n >= 2 && dim >= 1 && dim <= 3 && k >= 1,
+         "N >= 2, 1 <= DIM <= 3 and K >= 1");
+    graph = make_random_geometric(n, static_cast<int>(dim), k,
+                                  arg_u64(rest, 3, 1));
   } else if (family == "spider") {
-    graph = make_exponential_spider(arg_u64(rest, 0, 12), arg_u64(rest, 1, 8));
+    const std::uint64_t arms = arg_u64(rest, 0, 12), len = arg_u64(rest, 1, 8);
+    need(arms >= 1 && len >= 1, "ARMS >= 1 and LEN >= 1");
+    graph = make_exponential_spider(arms, len);
   } else if (family == "clusters") {
-    graph = make_cluster_hierarchy(arg_u64(rest, 0, 4), arg_u64(rest, 1, 4),
-                                   arg_positive_double(rest, 2, 8), arg_u64(rest, 3, 1));
+    const std::uint64_t levels = arg_u64(rest, 0, 4), fanout = arg_u64(rest, 1, 4);
+    const double spread = arg_positive_double(rest, 2, 8);
+    need(levels >= 1 && fanout >= 2 && spread > 1,
+         "LEVELS >= 1, FANOUT >= 2 and SPREAD > 1");
+    graph = make_cluster_hierarchy(levels, fanout, spread, arg_u64(rest, 3, 1));
   } else if (family == "cliques") {
-    graph = make_ring_of_cliques(arg_u64(rest, 0, 16), arg_u64(rest, 1, 8),
-                                 arg_positive_double(rest, 2, 10));
+    const std::uint64_t num = arg_u64(rest, 0, 16), size = arg_u64(rest, 1, 8);
+    const double bridge = arg_positive_double(rest, 2, 10);
+    need(num >= 3 && size >= 2 && bridge >= 1,
+         "NUM >= 3, SIZE >= 2 and BRIDGE >= 1");
+    graph = make_ring_of_cliques(num, size, bridge);
   } else if (family == "tree") {
-    graph = make_random_tree(arg_u64(rest, 0, 200), arg_positive_double(rest, 1, 4),
-                             arg_u64(rest, 2, 1));
+    const std::uint64_t n = arg_u64(rest, 0, 200);
+    const double max_weight = arg_positive_double(rest, 1, 4);
+    need(n >= 2 && max_weight >= 1, "N >= 2 and MAXW >= 1");
+    graph = make_random_tree(n, max_weight, arg_u64(rest, 2, 1));
   } else if (family == "lbtree") {
-    graph = make_lower_bound_tree(arg_positive_double(rest, 0, 4.0), arg_u64(rest, 1, 1000))
-                .graph;
+    const double eps = arg_positive_double(rest, 0, 4.0);
+    const std::uint64_t n = arg_u64(rest, 1, 1000);
+    need(eps < 8, "EPS in (0, 8) (Theorem 1.3)");
+    // make_lower_bound_tree needs n >= 2·p·q, with p = ⌈72/ε⌉ + 6 and
+    // q = ⌈48/ε⌉ - 4, so that every path T_{i,j} is non-empty.
+    const double p = std::ceil(72.0 / eps) + 6, q = std::ceil(48.0 / eps) - 4;
+    need(static_cast<double>(n) >= 2 * p * q,
+         "N >= 2*p*q, with p = ceil(72/EPS) + 6 and q = ceil(48/EPS) - 4");
+    graph = make_lower_bound_tree(eps, n).graph;
   } else if (family == "powerlaw") {
     const std::uint64_t n = arg_u64(rest, 0, 512, "powerlaw n");
     const std::uint64_t epn = arg_u64(rest, 1, 2, "powerlaw edges-per-node");
-    if (n < 3 || epn < 1 || epn >= n) {
-      std::fprintf(stderr,
-                   "powerlaw needs n >= 3 and 1 <= edges-per-node < n, got "
-                   "n=%llu edges=%llu\n\n",
-                   static_cast<unsigned long long>(n),
-                   static_cast<unsigned long long>(epn));
-      usage();
-    }
+    need(n >= 3 && epn >= 1 && epn < n, "N >= 3 and 1 <= EDGES < N");
     graph = make_power_law(n, epn, arg_u64(rest, 2, 1, "powerlaw seed"));
   } else if (family == "hyperbolic") {
     const std::uint64_t n = arg_u64(rest, 0, 512, "hyperbolic n");
     const double alpha = arg_positive_double(rest, 1, 0.75, "hyperbolic alpha");
     const double avg_degree =
         arg_positive_double(rest, 2, 6.0, "hyperbolic avg-degree");
-    if (n < 3 || avg_degree >= static_cast<double>(n)) {
-      std::fprintf(stderr,
-                   "hyperbolic needs n >= 3 and avg-degree < n, got n=%llu "
-                   "avg-degree=%g\n\n",
-                   static_cast<unsigned long long>(n), avg_degree);
-      usage();
-    }
+    need(n >= 3 && avg_degree < static_cast<double>(n), "N >= 3 and AVGDEG < N");
     graph = make_hyperbolic_disk(n, alpha, avg_degree,
                                  arg_u64(rest, 3, 1, "hyperbolic seed"));
   } else if (family == "astopo") {
     const std::uint64_t n = arg_u64(rest, 0, 512, "astopo n");
     const std::uint64_t core = arg_u64(rest, 1, 32, "astopo core");
-    if (n < 4 || core < 3 || core >= n) {
-      std::fprintf(stderr,
-                   "astopo needs n >= 4 and 3 <= core < n, got n=%llu "
-                   "core=%llu\n\n",
-                   static_cast<unsigned long long>(n),
-                   static_cast<unsigned long long>(core));
-      usage();
-    }
+    need(n >= 4 && core >= 3 && core < n, "N >= 4 and 3 <= CORE < N");
     graph = make_as_topology(n, core, arg_u64(rest, 2, 1, "astopo seed"));
   } else {
     std::fprintf(stderr, "unknown gen family '%s'\n\n", family.c_str());
@@ -544,7 +556,7 @@ int cmd_route(const Args& args) {
   return 0;
 }
 
-void print_trace(const RouteResult& r, Weight optimal) {
+void print_trace(const HopRun& r, Weight optimal) {
   if (r.trace.empty()) {
     if (r.path.size() <= 1) {
       std::printf("  (zero-hop route — already at the destination)\n");
@@ -597,7 +609,7 @@ int cmd_trace(const Args& args) {
   doc["traces"] = obs::JsonValue::array();
 
   const auto run = [&](const HopScheme& scheme, std::uint64_t dest_key) {
-    const RouteResult r = hop_route(stack.metric, scheme, src, dest_key);
+    const HopRun r = execute_hops(stack.metric, scheme, src, dest_key);
     std::printf("%s  (%zu hops, delivered=%s)\n", scheme.name().c_str(),
                 r.path.size() - 1, r.delivered ? "yes" : "NO");
     print_trace(r, optimal);
@@ -718,7 +730,7 @@ int cmd_audit(const Args& args) {
     }
   }
   if (const std::string* value = args.get("--budget-s")) {
-    options.budget_seconds = parse_double(*value, "--budget-s value");
+    options.budget_seconds = parse_positive_double(*value, "--budget-s value");
   }
   // Intentionally undocumented: plants one defect so smoke tests can
   // demonstrate that a violation turns into exit code 1.

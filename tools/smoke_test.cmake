@@ -168,6 +168,23 @@ foreach(bad_eps nan inf -1 0 1 1.5)
   endif()
 endforeach()
 expect_exit(2 audit --eps 1.5)
+# A budget must be positive; zero or negative is a usage error, not a
+# silently unbudgeted sweep.
+expect_exit(2 audit --budget-s -1)
+expect_exit(2 audit --budget-s 0)
+# Degenerate generator sizes are usage errors, checked before the generator.
+set(bad_gen ${CMAKE_CURRENT_BINARY_DIR}/smoke_bad.graph)
+expect_exit(2 gen grid ${bad_gen} 0 0)
+expect_exit(2 gen torus ${bad_gen} 1 1)
+expect_exit(2 gen spider ${bad_gen} 0 0)
+expect_exit(2 gen tree ${bad_gen} 1)
+expect_exit(2 gen geometric ${bad_gen} 1)
+expect_exit(2 gen cliques ${bad_gen} 0 0)
+expect_exit(2 gen clusters ${bad_gen} 0 0)
+expect_exit(2 gen lbtree ${bad_gen} 4 0)
+if(EXISTS ${bad_gen})
+  message(FATAL_ERROR "a rejected gen command wrote ${bad_gen}")
+endif()
 # Internet-like families: gen -> build -> mine -> server replay, end to end.
 set(pl_graph ${CMAKE_CURRENT_BINARY_DIR}/smoke_powerlaw.graph)
 execute_process(COMMAND ${CRTOOL} gen powerlaw ${pl_graph} 64 2 7 RESULT_VARIABLE rc)
