@@ -64,8 +64,9 @@ Report audit_snapshot_corruption(const std::vector<std::uint8_t>& bytes,
 
 /// The same corruption battery driven through the mmap loader: every mutant
 /// is written to `scratch_path` (overwritten per variant, removed at the
-/// end) and loaded with load_snapshot_mmap, which must throw SnapshotError —
-/// the zero-copy path gets no laxer validation than the heap path.
+/// end) and mapped; both MappedSnapshot::decode and restore_serving_snapshot
+/// over the mapping must throw SnapshotError — the zero-copy path gets no
+/// laxer validation than the heap path.
 Report audit_snapshot_corruption_mmap(const std::vector<std::uint8_t>& bytes,
                                       const std::string& scratch_path,
                                       const Options& options);

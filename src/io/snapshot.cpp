@@ -1386,10 +1386,6 @@ std::vector<std::uint8_t> read_snapshot_file(const std::string& path) {
   return bytes;
 }
 
-SnapshotStack load_snapshot_file(const std::string& path) {
-  return decode_snapshot(read_snapshot_file(path));
-}
-
 std::shared_ptr<const HopArena> SnapshotStack::build_arena() const {
   CR_CHECK_MSG(hierarchy != nullptr, "arena needs the net hierarchy");
   return HopArena::build(*hierarchy, naming.get(), hier.get(), sf.get(),

@@ -226,7 +226,4 @@ void write_snapshot_file(const std::string& path,
                          const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> read_snapshot_file(const std::string& path);
 
-/// read_snapshot_file + decode_snapshot.
-SnapshotStack load_snapshot_file(const std::string& path);
-
 }  // namespace compactroute

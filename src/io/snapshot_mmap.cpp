@@ -108,12 +108,4 @@ SnapshotStack MappedSnapshot::decode() const {
   return decode_snapshot(data_, size_);
 }
 
-std::vector<SnapshotSection> MappedSnapshot::directory() const {
-  return snapshot_directory(data_, size_);
-}
-
-SnapshotStack load_snapshot_mmap(const std::string& path) {
-  return MappedSnapshot(path).decode();
-}
-
 }  // namespace compactroute

@@ -50,9 +50,6 @@ class MappedSnapshot {
   /// mapping to outlive it.
   SnapshotStack decode() const;
 
-  /// Header/directory validation only (magic, version, CRCs, tiling).
-  std::vector<SnapshotSection> directory() const;
-
  private:
   void release() noexcept;
 
@@ -60,9 +57,5 @@ class MappedSnapshot {
   std::size_t size_ = 0;
   std::string path_;
 };
-
-/// MappedSnapshot(path).decode() — the drop-in replacement for
-/// load_snapshot_file when the mapping itself need not be kept.
-SnapshotStack load_snapshot_mmap(const std::string& path);
 
 }  // namespace compactroute

@@ -7,6 +7,7 @@
 #include "core/bits.hpp"
 #include "core/check.hpp"
 #include "core/parallel.hpp"
+#include "nameind/zoom_search.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 
@@ -90,17 +91,11 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
                  [&](std::size_t first, std::size_t last) {
       for (std::size_t b = first; b < last; ++b) {
         const PackedBall& ball = balls[b];
-        auto tree = std::make_unique<SearchTree>(
-            metric, ball.center, ball.radius, epsilon_,
-            SearchTree::Variant::kBasic);
         reach[j][b] = j + 2 <= max_exponent_ ? radius_table[j + 2][ball.center]
                                              : metric.delta();
-        std::vector<std::pair<SearchTree::Key, SearchTree::Data>> pairs;
-        for (NodeId v : metric.ball(ball.center, reach[j][b])) {
-          pairs.emplace_back(naming.name_of(v), underlying.label(v));
-        }
-        tree->store(std::move(pairs));
-        ball_trees_[j][b] = std::move(tree);
+        ball_trees_[j][b] =
+            make_name_tree(metric, naming, underlying, ball.center, ball.radius,
+                           reach[j][b], epsilon_);
       }
     });
   }
@@ -151,13 +146,8 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
           }
         }
         if (info.h_ball < 0) {
-          info.own_tree = std::make_unique<SearchTree>(
-              metric, u, own_radius, epsilon_, SearchTree::Variant::kBasic);
-          std::vector<std::pair<SearchTree::Key, SearchTree::Data>> pairs;
-          for (NodeId v : metric.ball(u, own_radius)) {
-            pairs.emplace_back(naming.name_of(v), underlying.label(v));
-          }
-          info.own_tree->store(std::move(pairs));
+          info.own_tree = make_name_tree(metric, naming, underlying, u,
+                                         own_radius, own_radius, epsilon_);
         }
       }
     });
@@ -172,76 +162,13 @@ ScaleFreeNameIndependentScheme::membership(int level, NodeId u) const {
   return memberships_[level][it - net.begin()];
 }
 
-NodeId ScaleFreeNameIndependentScheme::ride_underlying(Path& path, NodeId from,
-                                                       NodeId to) const {
-  if (from == to) return to;
-  const RouteResult leg = underlying_->route(from, underlying_->label(to));
-  CR_CHECK(leg.delivered && leg.path.front() == from && leg.path.back() == to);
-  path.insert(path.end(), leg.path.begin() + 1, leg.path.end());
-  return to;
-}
-
 RouteResult ScaleFreeNameIndependentScheme::route(NodeId src, Name dest_name) const {
-  return route_with_trace(src, dest_name, nullptr);
-}
-
-RouteResult ScaleFreeNameIndependentScheme::route_with_trace(NodeId src,
-                                                             Name dest_name,
-                                                             Trace* trace) const {
-  Trace local_trace;
-  Trace& tr = trace ? *trace : local_trace;
-  tr = Trace{};
-
-  RouteResult result;
-  result.path.push_back(src);
-  if (naming_->name_of(src) == dest_name) {
-    result.delivered = true;
-    return result;
-  }
-
-  NodeId pos = src;
-  SearchTree::LookupScratch scratch;
-  SearchTree::LookupResult lookup;
-  for (int i = 0; i <= hierarchy_->top_level(); ++i) {
-    const NodeId anchor = hierarchy_->zoom(i, src);
-    const Weight before_climb = path_cost(*metric_, result.path);
-    pos = ride_underlying(result.path, pos, anchor);
-    tr.climb_cost += path_cost(*metric_, result.path) - before_climb;
-
-    // Search(id, u(i), i) — Algorithm 4.
-    const Membership& info = membership(i, anchor);
-    const SearchTree* tree = info.own_tree.get();
-    NodeId tree_root = anchor;
-    if (!tree) {
-      ++tr.delegated_searches;
-      tree = ball_trees_[info.h_exponent][info.h_ball].get();
-      tree_root = packings_[info.h_exponent]->balls()[info.h_ball].center;
-    }
-
-    const Weight before_search = path_cost(*metric_, result.path);
-    pos = ride_underlying(result.path, pos, tree_root);  // "go to c from u"
-    tree->lookup(dest_name, scratch, &lookup);
-    for (std::size_t s = 1; s < lookup.trail.size(); ++s) {
-      pos = ride_underlying(result.path, pos, lookup.trail[s]);
-    }
-    pos = ride_underlying(result.path, pos, anchor);  // "go back from c to u"
-    tr.search_cost += path_cost(*metric_, result.path) - before_search;
-
-    if (lookup.found) {
-      tr.found_level = i;
-      const Weight before_final = path_cost(*metric_, result.path);
-      const RouteResult leg = underlying_->route(anchor, lookup.data);
-      CR_CHECK(leg.delivered && leg.path.front() == anchor);
-      result.path.insert(result.path.end(), leg.path.begin() + 1, leg.path.end());
-      tr.final_cost = path_cost(*metric_, result.path) - before_final;
-      CR_CHECK(naming_->name_of(result.path.back()) == dest_name);
-      result.cost = path_cost(*metric_, result.path);
-      result.delivered = true;
-      return result;
-    }
-  }
-  CR_CHECK_MSG(false, "the top-level search ball covers the whole graph");
-  return result;
+  return zoom_and_search(
+      *metric_, *hierarchy_, *naming_, *underlying_,
+      [this](int level, NodeId anchor, NodeId* root) -> const SearchTree& {
+        return search_structure(level, anchor, root);
+      },
+      src, dest_name, nullptr);
 }
 
 const SearchTree& ScaleFreeNameIndependentScheme::search_structure(

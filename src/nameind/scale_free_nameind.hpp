@@ -15,10 +15,11 @@
 //    i ∈ S(u) store just a link to the center of H(u, i); Claim 3.9 bounds
 //    the distinct links by 4 log n.
 //
-// Search (Algorithm 4) either queries the own tree or detours to the packed
-// ball's center, queries there, and returns. The cost per level stays
-// ~2^{i+1}(1/ε + 1), so the Lemma 3.4 stretch argument still gives 9 + O(ε),
-// while storage drops to (1/ε)^{O(α)} log³ n bits per node (Lemma 3.8).
+// Search (Algorithm 4; zoom_and_search over search_structure()) either
+// queries the own tree or detours to the packed ball's center, queries
+// there, and returns. The cost per level stays ~2^{i+1}(1/ε + 1), so the
+// Lemma 3.4 stretch argument still gives 9 + O(ε), while storage drops to
+// (1/ε)^{O(α)} log³ n bits per node (Lemma 3.8).
 //
 #include <memory>
 #include <string>
@@ -58,16 +59,6 @@ class ScaleFreeNameIndependentScheme final : public NameIndependentScheme {
   std::size_t header_bits() const override;
 
   double epsilon() const { return epsilon_; }
-
-  struct Trace {
-    int found_level = -1;
-    int delegated_searches = 0;  // levels answered by a packed-ball tree
-    Weight climb_cost = 0;
-    Weight search_cost = 0;
-    Weight final_cost = 0;
-  };
-
-  RouteResult route_with_trace(NodeId src, Name dest_name, Trace* trace) const;
 
   /// Number of levels of u's memberships that were subsumed by packed balls
   /// (|S(u)| restricted to u's net memberships); for tests.
@@ -109,7 +100,6 @@ class ScaleFreeNameIndependentScheme final : public NameIndependentScheme {
   friend struct SnapshotAccess;
   ScaleFreeNameIndependentScheme() = default;
 
-  NodeId ride_underlying(Path& path, NodeId from, NodeId to) const;
   const Membership& membership(int level, NodeId u) const;
 
   const MetricSpace* metric_ = nullptr;

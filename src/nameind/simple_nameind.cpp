@@ -44,17 +44,8 @@ void SimpleNameIndependentScheme::build_levels(
     parallel_for("nameind.simple.trees", net.size(), 1,
                  [&](std::size_t first, std::size_t last) {
                    for (std::size_t k = first; k < last; ++k) {
-                     auto tree = std::make_unique<SearchTree>(
-                         metric, net[k], radius, epsilon,
-                         SearchTree::Variant::kBasic);
-                     std::vector<std::pair<SearchTree::Key, SearchTree::Data>>
-                         pairs;
-                     for (NodeId v : metric.ball(net[k], radius)) {
-                       pairs.emplace_back(naming.name_of(v),
-                                          underlying.label(v));
-                     }
-                     tree->store(std::move(pairs));
-                     trees[k] = std::move(tree);
+                     trees[k] = make_name_tree(metric, naming, underlying,
+                                               net[k], radius, radius, epsilon);
                    }
                  });
     sink(i, std::move(trees));
@@ -69,73 +60,19 @@ const SearchTree& SimpleNameIndependentScheme::level_tree(int level,
   return *trees_[level][it - net.begin()];
 }
 
-NodeId SimpleNameIndependentScheme::ride_underlying(Path& path, NodeId from,
-                                                    NodeId to) const {
-  if (from == to) return to;
-  const RouteResult leg = underlying_->route(from, underlying_->label(to));
-  CR_CHECK(leg.delivered && leg.path.front() == from && leg.path.back() == to);
-  path.insert(path.end(), leg.path.begin() + 1, leg.path.end());
-  return to;
-}
-
 RouteResult SimpleNameIndependentScheme::route(NodeId src, Name dest_name) const {
   return route_with_trace(src, dest_name, nullptr);
 }
 
 RouteResult SimpleNameIndependentScheme::route_with_trace(NodeId src, Name dest_name,
                                                           Trace* trace) const {
-  Trace local_trace;
-  Trace& tr = trace ? *trace : local_trace;
-  tr = Trace{};
-
-  RouteResult result;
-  result.path.push_back(src);
-  if (naming_->name_of(src) == dest_name) {
-    result.delivered = true;
-    return result;
-  }
-
-  NodeId pos = src;
-  SearchTree::LookupScratch scratch;
-  SearchTree::LookupResult lookup;
-  for (int i = 0; i <= hierarchy_->top_level(); ++i) {
-    // Climb to u(i) — the netting-tree parent chain, whose labels are stored
-    // along the chain itself (Section 3.1.2).
-    const NodeId anchor = hierarchy_->zoom(i, src);
-    const Weight before_climb = path_cost(*metric_, result.path);
-    pos = ride_underlying(result.path, pos, anchor);
-    tr.climb_cost += path_cost(*metric_, result.path) - before_climb;
-
-    // Local search (Algorithm 3 line 4): traverse the trail edge by edge via
-    // the underlying labeled scheme (endpoints hold each other's labels).
-    const std::vector<NodeId>& net = hierarchy_->net(i);
-    const auto it = std::lower_bound(net.begin(), net.end(), anchor);
-    CR_CHECK(it != net.end() && *it == anchor);
-    const SearchTree& tree = *trees_[i][it - net.begin()];
-
-    const Weight before_search = path_cost(*metric_, result.path);
-    tree.lookup(dest_name, scratch, &lookup);
-    for (std::size_t s = 1; s < lookup.trail.size(); ++s) {
-      pos = ride_underlying(result.path, pos, lookup.trail[s]);
-    }
-    tr.search_cost += path_cost(*metric_, result.path) - before_search;
-    CR_CHECK(pos == anchor);  // the trail reports back to the root
-
-    if (lookup.found) {
-      tr.found_level = i;
-      const Weight before_final = path_cost(*metric_, result.path);
-      const RouteResult leg = underlying_->route(anchor, lookup.data);
-      CR_CHECK(leg.delivered && leg.path.front() == anchor);
-      result.path.insert(result.path.end(), leg.path.begin() + 1, leg.path.end());
-      tr.final_cost = path_cost(*metric_, result.path) - before_final;
-      CR_CHECK(naming_->name_of(result.path.back()) == dest_name);
-      result.cost = path_cost(*metric_, result.path);
-      result.delivered = true;
-      return result;
-    }
-  }
-  CR_CHECK_MSG(false, "the top ball B_root(2^L/ε) covers the whole graph");
-  return result;
+  return zoom_and_search(
+      *metric_, *hierarchy_, *naming_, *underlying_,
+      [this](int level, NodeId anchor, NodeId* root) -> const SearchTree& {
+        *root = anchor;
+        return level_tree(level, anchor);
+      },
+      src, dest_name, trace);
 }
 
 std::size_t SimpleNameIndependentScheme::storage_bits(NodeId u) const {

@@ -6,14 +6,11 @@
 // For every net point u ∈ Y_i the ball B_u(2^i/ε) carries a search tree
 // storing the (original name -> routing label) pairs of all its nodes. A
 // source climbs its own zooming sequence u(0), u(1), ...; at each u(i) it
-// runs SearchTree(id(v), T(u(i), 2^i/ε)) (Algorithm 3). The first level j at
+// runs SearchTree(id(v), T(u(i), 2^i/ε)) (Algorithm 3) — zoom_and_search
+// with every level owning its tree (root = anchor). The first level j at
 // which the search succeeds satisfies d(u(j-1), v) > 2^{j-1}/ε, which prices
 // the whole climb-and-search prologue at O(ε)·d(u, v) relative to the final
 // leg, giving stretch 9 + O(ε) (Lemma 3.4).
-//
-// Every movement — climbing to u(i+1), walking a search-tree trail edge,
-// and the final leg — is an actual route of the underlying labeled scheme,
-// charged at its true cost.
 //
 // Storage is (1/ε)^{O(α)} log Δ log n bits per node: compact only for
 // polynomial Δ. The scale-free variant (Theorem 1.1) removes the log Δ.
@@ -23,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "nameind/zoom_search.hpp"
 #include "nets/rnet.hpp"
 #include "routing/naming.hpp"
 #include "routing/scheme.hpp"
@@ -58,18 +56,17 @@ class SimpleNameIndependentScheme final : public NameIndependentScheme {
   double epsilon() const { return epsilon_; }
 
   /// Diagnostics for the Figure 1 trace bench.
-  struct Trace {
-    int found_level = -1;   // the level j where the label was found
-    Weight climb_cost = 0;  // zooming-sequence movement
-    Weight search_cost = 0; // all search-tree traversals
-    Weight final_cost = 0;  // u(j) -> v
-  };
+  using Trace = ZoomSearchTrace;
 
   RouteResult route_with_trace(NodeId src, Name dest_name, Trace* trace) const;
 
   /// The search tree of ball B_anchor(2^level / ε); anchor must be in
   /// Y_level. Exposed for the hop-by-hop runtime and diagnostics.
   const SearchTree& level_tree(int level, NodeId anchor) const;
+  /// Every level tree of Y_level, in net order (the build_levels sink order).
+  const std::vector<std::unique_ptr<SearchTree>>& level_trees(int level) const {
+    return trees_[level];
+  }
 
   const NetHierarchy& hierarchy() const { return *hierarchy_; }
   const Naming& naming() const { return *naming_; }
@@ -77,10 +74,6 @@ class SimpleNameIndependentScheme final : public NameIndependentScheme {
  private:
   friend struct SnapshotAccess;
   SimpleNameIndependentScheme() = default;
-
-  /// Appends `underlying.route(from, label(to))`'s walk (sans its first
-  /// node) to path; returns the node reached (== to).
-  NodeId ride_underlying(Path& path, NodeId from, NodeId to) const;
 
   const MetricSpace* metric_ = nullptr;
   const NetHierarchy* hierarchy_ = nullptr;

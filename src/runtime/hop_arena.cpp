@@ -463,20 +463,9 @@ void HopArenaCompiler::add_simple_level(
 }
 
 void HopArenaCompiler::add_simple(const SimpleNameIndependentScheme& scheme) {
-  State& st = *state_;
-  st.enter(3);
-  HopArena& a = *st.arena;
-  const std::size_t n = a.n;
-  a.simple_present = true;
-  a.simple_tree_of.assign(static_cast<std::size_t>(st.levels()) * n, -1);
-  for (int level = 0; level < st.levels(); ++level) {
-    for (const NodeId anchor : st.nets[level]) {
-      a.simple_tree_of[static_cast<std::size_t>(level) * n + anchor] =
-          add_tree(a.trees, scheme.level_tree(level, anchor), st.scratch);
-    }
-    a.simple_trees += static_cast<std::uint32_t>(st.nets[level].size());
+  for (int level = 0; level < state_->levels(); ++level) {
+    add_simple_level(level, scheme.level_trees(level));
   }
-  st.simple_next_level = st.levels();
 }
 
 void HopArenaCompiler::add_sfni(const ScaleFreeNameIndependentScheme& scheme) {

@@ -24,10 +24,19 @@ ScaleFreeHopScheme::ScaleFreeHopScheme(
 HopHeader ScaleFreeHopScheme::make_header(NodeId /*src*/,
                                           std::uint64_t dest_key) const {
   HopHeader header;
+  reset_header(header, dest_key);
+  return header;
+}
+
+void ScaleFreeHopScheme::reset_header(HopHeader& header,
+                                      std::uint64_t dest_key) const {
+  auto light = std::move(header.light);
+  light.clear();
+  header = HopHeader{};
+  header.light = std::move(light);
   header.dest = dest_key;
   header.phase = kWalk;
   header.level = kNoPrevLevel;
-  return header;
 }
 
 TracePhase ScaleFreeHopScheme::phase_of(const HopHeader& header) const {

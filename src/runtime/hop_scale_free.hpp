@@ -52,9 +52,12 @@ class ScaleFreeHopScheme final : public HopScheme {
   bool step(NodeId at, HopHeader& header, NodeId* next) const override;
   TracePhase phase_of(const HopHeader& header) const override;
 
- private:
-  friend class ScaleFreeNameIndependentHopScheme;
+  /// Resets `header` in place to field-for-field what make_header(·, dest_key)
+  /// returns, keeping its light-edge capacity: the scale-free NI machine
+  /// restarts its nested ride header this way with zero allocations.
+  void reset_header(HopHeader& header, std::uint64_t dest_key) const;
 
+ private:
   enum Phase : std::uint8_t {
     kWalk = 0,
     kToCenter = 1,

@@ -1,26 +1,14 @@
 #pragma once
 //
 // Hop-by-hop adapter for the simple name-independent scheme (Algorithm 3 as
-// a layered packet FSM).
-//
-// The header stacks two machines: the outer name-independent state (current
-// zoom level, search anchor, search cursor, continuation) and the inner
-// labeled-ride target — a destination label of the underlying hierarchical
-// scheme. Every physical hop is one greedy ring step of the underlying
-// scheme toward the inner target; when the ride arrives, the outer machine
-// advances (descend the search tree, report back, climb the zooming
-// sequence, or take the final leg). Header layout:
-//   dest        — the original destination name id(v)
-//   level / aux — zoom level i and anchor u(i)
-//   target      — search-tree cursor (global id)
-//   inner       — current ride target label
-//   inner_phase — continuation after the ride arrives
-//   tree_dfs    — the retrieved routing label l(v) (once found)
-//
-// Both machines step against a HopArena (flat ring slab + packed
+// a layered packet FSM): the shared name-independent machine
+// (runtime/hop_name_independent.cpp) riding greedy hierarchical ring steps
+// toward HopHeader::inner, with every level owning its search tree
+// (root = anchor). Steps against a HopArena (flat ring slab + packed
 // search-tree bank).
 //
 #include <memory>
+#include <utility>
 
 #include "runtime/hop_scheme.hpp"
 
@@ -42,9 +30,10 @@ class SimpleNameIndependentHopScheme final : public HopScheme {
   /// Same as the arena-only constructor; the schemes are ignored. Kept for
   /// callers that pass a stack's schemes alongside its shared arena
   /// (crbench/src/stack.cpp).
-  SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& scheme,
-                                 const HierarchicalLabeledScheme& underlying,
-                                 std::shared_ptr<const HopArena> arena);
+  SimpleNameIndependentHopScheme(const SimpleNameIndependentScheme& /*scheme*/,
+                                 const HierarchicalLabeledScheme& /*underlying*/,
+                                 std::shared_ptr<const HopArena> arena)
+      : SimpleNameIndependentHopScheme(std::move(arena)) {}
 
   std::string name() const override { return "hop/name-independent-simple"; }
 
@@ -53,15 +42,6 @@ class SimpleNameIndependentHopScheme final : public HopScheme {
   TracePhase phase_of(const HopHeader& header) const override;
 
  private:
-  // Continuations (inner_phase): what the outer machine does when the
-  // current labeled ride arrives.
-  enum Continuation : std::uint8_t {
-    kAtAnchor = 0,    // arrived at u(level): start the local search
-    kSearchNode = 1,  // arrived at the next search-tree node: descend
-    kSearchBack = 2,  // returning toward the root of the search tree
-    kDeliver = 3,     // final leg: arrived at the destination
-  };
-
   std::shared_ptr<const HopArena> arena_;
 };
 

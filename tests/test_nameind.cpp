@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ios>
 #include <memory>
+#include <string>
 
 #include "core/bits.hpp"
 #include "core/prng.hpp"
@@ -147,6 +150,66 @@ TEST(NameInd, TraceFindsLabelAtDistanceMatchedLevel) {
       EXPECT_GT(f.metric.dist(anchor, v),
                 level_radius(trace.found_level - 1) / f.simple.epsilon() - 1e-9)
           << "search at level " << trace.found_level - 1 << " must have missed";
+    }
+  }
+}
+
+// Both schemes walk Algorithm 3/4 through one zoom-and-search loop; pin that
+// loop's exact output: a digest of route().path over seeded pairs (plus the
+// simple scheme's found level) and evaluate_name_independent's exact stretch
+// sums, on a grid and on a deep spider where the scale-free scheme delegates
+// searches to packed balls.
+TEST(NameInd, ZoomSearchWalksArePinned) {
+  struct Case {
+    Graph graph;
+    double eps;
+    std::uint64_t path_digest[2];  // {simple, scale-free}
+    double sum_stretch[2];
+    double max_stretch[2];
+  };
+  const Case cases[] = {
+      {make_grid(9, 7),
+       0.5,
+       {0xac39d6c3f59d745bULL, 0xa53aa8e46cb08c38ULL},
+       {0x1.7a467b106b354p+13, 0x1.7297112e2a287p+13},
+       {0x1.1555555555555p+3, 0x1.ep+2}},
+      {make_exponential_spider(16, 4),
+       0.25,
+       {0x76b6c399f9364ef7ULL, 0x07bc2ced4819253fULL},
+       {0x1.329cf8e79b9d5p+13, 0x1.02455fc55e253p+13},
+       {0x1.2p+3, 0x1.cp+2}},
+  };
+  for (const Case& c : cases) {
+    Fixture f(c.graph, c.eps, 41);
+    const NameIndependentScheme* schemes[] = {&f.simple, &f.scale_free};
+    for (int s = 0; s < 2; ++s) {
+      SCOPED_TRACE(schemes[s]->name() + " n=" + std::to_string(f.metric.n()));
+      std::uint64_t digest = 0;
+      const auto fold = [&digest](std::uint64_t x) {
+        digest = (digest ^ x) * 0x100000001b3ULL;
+      };
+      Prng prng(17);
+      for (int trial = 0; trial < 200; ++trial) {
+        const NodeId u = static_cast<NodeId>(prng.next_below(f.metric.n()));
+        const NodeId v = static_cast<NodeId>(prng.next_below(f.metric.n()));
+        SimpleNameIndependentScheme::Trace trace;
+        const RouteResult r =
+            s == 0 ? f.simple.route_with_trace(u, f.naming.name_of(v), &trace)
+                   : f.scale_free.route(u, f.naming.name_of(v));
+        ASSERT_TRUE(r.delivered);
+        fold(r.path.size());
+        for (const NodeId x : r.path) fold(x);
+        if (s == 0) fold(static_cast<std::uint64_t>(trace.found_level + 1));
+      }
+      Prng eval_prng(18);
+      const StretchStats stats = evaluate_name_independent(
+          *schemes[s], f.metric, f.naming, 0, eval_prng);
+      EXPECT_EQ(stats.failures, 0u);
+      EXPECT_EQ(digest, c.path_digest[s]);
+      EXPECT_EQ(stats.sum_stretch, c.sum_stretch[s])
+          << std::hexfloat << stats.sum_stretch;
+      EXPECT_EQ(stats.max_stretch, c.max_stretch[s])
+          << std::hexfloat << stats.max_stretch;
     }
   }
 }

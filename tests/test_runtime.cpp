@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -263,9 +264,47 @@ void expect_serve_one_matches_execute_hops(
   }
 }
 
+// Folds, over the same pairs, every hop's (phase tag, metered header bits)
+// and each run's max_header_bits. Route fingerprints pin only the node
+// sequence; this pins what the header says along the way. It walks with
+// walk_hops directly so the digest does not depend on trace collection
+// (CR_OBS_DISABLED builds record no trace hops).
+std::uint64_t phase_header_digest(
+    const MetricSpace& metric, const HopScheme& scheme,
+    const std::function<std::uint64_t(NodeId)>& dest_key_of) {
+  const std::size_t budget = default_hop_budget(metric.n());
+  const std::size_t n = metric.n();
+  const int levels = metric.num_levels();
+  std::uint64_t digest = 0;
+  const auto fold = [&digest](std::uint64_t x) {
+    digest = (digest ^ x) * RouteFingerprint::kPrime;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; v += 3) {
+      HopHeader header = scheme.make_header(u, dest_key_of(v));
+      std::size_t max_bits = header.encoded_bits(n, levels);
+      walk_hops(metric.csr(), scheme, header, u, budget,
+                [&](NodeId, NodeId, const HopHeader& h) {
+                  const std::size_t bits = h.encoded_bits(n, levels);
+                  max_bits = std::max(max_bits, bits);
+                  fold(static_cast<std::uint64_t>(scheme.phase_of(h)));
+                  fold(bits);
+                });
+      fold(max_bits);
+    }
+  }
+  return digest;
+}
+
 TEST(HopRuntime, ServeOneAgreesWithExecuteHops) {
   const std::pair<Graph, double> cases[] = {
       {make_grid(8, 8), 0.5}, {make_exponential_spider(16, 4), 0.25}};
+  // Per case: {simple NI, scale-free NI} phase/header digests.
+  const std::uint64_t expected_ni_digests[][2] = {
+      {0x98f991da5b7acf76ULL, 0x593aeaf0db47db68ULL},
+      {0xecc3420a14dc75f2ULL, 0x578886d7faedc6f4ULL},
+  };
+  std::size_t c = 0;
   for (const auto& [graph, eps] : cases) {
     const Fixture f(graph, eps);
     const auto label = [&f](NodeId v) { return f.hier.label(v); };
@@ -275,10 +314,17 @@ TEST(HopRuntime, ServeOneAgreesWithExecuteHops) {
                                           label);
     expect_serve_one_matches_execute_hops(f.metric, ScaleFreeHopScheme(f.sf),
                                           sf_label);
-    expect_serve_one_matches_execute_hops(
-        f.metric, SimpleNameIndependentHopScheme(f.simple, f.hier), name);
-    expect_serve_one_matches_execute_hops(
-        f.metric, ScaleFreeNameIndependentHopScheme(f.sfni, f.sf), name);
+    const SimpleNameIndependentHopScheme simple(f.simple, f.hier);
+    const ScaleFreeNameIndependentHopScheme sfni(f.sfni, f.sf);
+    expect_serve_one_matches_execute_hops(f.metric, simple, name);
+    expect_serve_one_matches_execute_hops(f.metric, sfni, name);
+    EXPECT_EQ(phase_header_digest(f.metric, simple, name),
+              expected_ni_digests[c][0])
+        << "simple NI phase/header digest, case " << c;
+    EXPECT_EQ(phase_header_digest(f.metric, sfni, name),
+              expected_ni_digests[c][1])
+        << "scale-free NI phase/header digest, case " << c;
+    ++c;
   }
 }
 

@@ -156,7 +156,7 @@ TEST(SnapshotRoundTrip, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "cr_test_snapshot.snap";
   write_snapshot_file(path, bytes);
   EXPECT_EQ(read_snapshot_file(path), bytes);
-  const SnapshotStack loaded = load_snapshot_file(path);
+  const SnapshotStack loaded = decode_snapshot(read_snapshot_file(path));
   EXPECT_EQ(loaded.n, stack.metric.n());
   std::remove(path.c_str());
   EXPECT_THROW(read_snapshot_file(path), SnapshotError);

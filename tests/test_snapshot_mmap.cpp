@@ -97,7 +97,7 @@ void run_golden_equivalence(std::size_t workers) {
   write_snapshot_file(snap.path, f.bytes);
 
   const SnapshotStack from_vector = decode_snapshot(f.bytes);
-  const SnapshotStack from_mmap = load_snapshot_mmap(snap.path);
+  const SnapshotStack from_mmap = MappedSnapshot(snap.path).decode();
   ASSERT_EQ(from_mmap.n, from_vector.n);
   ASSERT_EQ(from_mmap.epsilon, from_vector.epsilon);
 
@@ -135,7 +135,8 @@ TEST(SnapshotMmap, MappedSpanMatchesFileBytes) {
   EXPECT_EQ(std::vector<std::uint8_t>(mapped.data(),
                                       mapped.data() + mapped.size()),
             f.bytes);
-  EXPECT_EQ(mapped.directory().size(), snapshot_directory(f.bytes).size());
+  EXPECT_EQ(snapshot_directory(mapped.data(), mapped.size()).size(),
+            snapshot_directory(f.bytes).size());
 
   // Move transfers the mapping; the moved-from object is empty and its
   // destructor must not double-unmap (ASan would catch it).
@@ -176,7 +177,7 @@ TEST(SnapshotMmap, SubsetSnapshotZeroLengthSections) {
     writer.finish();
   }
 
-  const SnapshotStack loaded = load_snapshot_mmap(snap.path);
+  const SnapshotStack loaded = MappedSnapshot(snap.path).decode();
   EXPECT_EQ(loaded.n, f.metric.n());
   EXPECT_NE(loaded.hier, nullptr);
   EXPECT_NE(loaded.simple, nullptr);
@@ -185,7 +186,7 @@ TEST(SnapshotMmap, SubsetSnapshotZeroLengthSections) {
 
   // The subset's present schemes must still match the heap decode of the
   // same file, byte for byte at the route level.
-  const SnapshotStack heap = load_snapshot_file(snap.path);
+  const SnapshotStack heap = decode_snapshot(read_snapshot_file(snap.path));
   const auto requests = make_requests(
       loaded.n, kFingerprintRequests, kSeed,
       [&](NodeId v) { return std::uint64_t{loaded.hierarchy->leaf_label(v)}; });
@@ -201,8 +202,6 @@ TEST(SnapshotMmap, SubsetSnapshotZeroLengthSections) {
 
 TEST(SnapshotMmap, MissingFileThrowsSnapshotError) {
   EXPECT_THROW(MappedSnapshot("definitely_not_a_real_file.snap"),
-               SnapshotError);
-  EXPECT_THROW(load_snapshot_mmap("definitely_not_a_real_file.snap"),
                SnapshotError);
 }
 

@@ -8,9 +8,7 @@
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/metric.hpp"
 #include "trees/compact_tree_router.hpp"
-#include "trees/interval_router.hpp"
 #include "trees/tree.hpp"
 
 namespace compactroute {
@@ -136,32 +134,6 @@ TEST(RootedTree, PositionalFormRejectsMalformedInput) {
 
 class TreeRouterTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TreeRouterTest, IntervalRoutingIsExactlyOptimal) {
-  const Graph g = make_random_tree(80, 5, GetParam());
-  const MetricSpace metric(g);
-  const RootedTree tree = tree_from_graph(g, 0);
-  const IntervalTreeRouter router(tree);
-
-  Prng prng(GetParam() * 7 + 1);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int src = static_cast<int>(prng.next_below(tree.size()));
-    const int dst = static_cast<int>(prng.next_below(tree.size()));
-    const auto path = router.route(src, router.label(dst));
-    ASSERT_EQ(path.front(), src);
-    ASSERT_EQ(path.back(), dst);
-    Weight cost = 0;
-    for (std::size_t i = 1; i < path.size(); ++i) {
-      const int a = path[i - 1], b = path[i];
-      EXPECT_TRUE(tree.parent(a) == b || tree.parent(b) == a)
-          << "hops must follow tree edges";
-      cost += (tree.parent(a) == b) ? tree.parent_edge_weight(a)
-                                    : tree.parent_edge_weight(b);
-    }
-    EXPECT_NEAR(cost, tree_distance(tree, src, dst), 1e-9)
-        << "tree routing must be optimal (Lemma 4.1)";
-  }
-}
-
 TEST_P(TreeRouterTest, CompactRoutingIsExactlyOptimal) {
   const Graph g = make_random_tree(80, 5, GetParam());
   const RootedTree tree = tree_from_graph(g, 0);
@@ -201,15 +173,13 @@ TEST(CompactTreeRouter, LightEdgeCountIsLogarithmic) {
 }
 
 TEST(CompactTreeRouter, LabelBitsAreCompactOnStar) {
-  // The star is the worst case for interval routing tables and the showcase
-  // for the compact scheme: per-node tables stay O(log m).
+  // The star is the worst case for interval routing tables (the hub stores
+  // all 499 child intervals) and the showcase for the compact scheme:
+  // per-node tables stay O(log m).
   const Graph g = make_star(500);
   const RootedTree tree = tree_from_graph(g, 0);
   const CompactTreeRouter compact(tree);
-  const IntervalTreeRouter interval(tree);
 
-  // Interval routing stores all child intervals at the hub.
-  EXPECT_GT(interval.table_bits(tree.root_local()), 10000u);
   // Compact routing keeps the hub table logarithmic.
   EXPECT_LT(compact.table_bits(tree.root_local()), 100u);
   // Labels stay polylogarithmic.
@@ -223,20 +193,6 @@ TEST(CompactTreeRouter, PathTreeHasNoLightEdges) {
   const CompactTreeRouter router(tree);
   for (std::size_t v = 0; v < tree.size(); ++v) {
     EXPECT_TRUE(router.label(static_cast<int>(v)).light_edges.empty());
-  }
-}
-
-TEST(IntervalTreeRouter, LabelsAreDfsPermutation) {
-  const Graph g = make_random_tree(50, 2, 11);
-  const RootedTree tree = tree_from_graph(g, 0);
-  const IntervalTreeRouter router(tree);
-  std::vector<char> seen(tree.size(), 0);
-  for (std::size_t v = 0; v < tree.size(); ++v) {
-    const NodeId l = router.label(static_cast<int>(v));
-    ASSERT_LT(l, tree.size());
-    EXPECT_FALSE(seen[l]);
-    seen[l] = 1;
-    EXPECT_EQ(router.node_of_label(l), static_cast<int>(v));
   }
 }
 
