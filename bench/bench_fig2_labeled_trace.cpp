@@ -20,6 +20,7 @@ int main() {
   Stack stack(make_exponential_spider(26, 6), eps);
   stack.build_labeled();
   const ScaleFreeLabeledScheme& scheme = *stack.sf_labeled;
+  const ScaleFreeSubstrate& substrate = stack.metric.scale_free_substrate();
   Prng prng(5);
 
   std::printf("Figure 2 (executable): Algorithm 5 traces on spider-26x6 "
@@ -48,12 +49,11 @@ int main() {
       // Claim 4.6 sandwich at the handoff node.
       const NodeId ut = trace.handoff_node;
       const int j = trace.packing_exponent;
-      const Weight lo = size_radius(stack.metric, ut, j) / (3 * eps);
+      const Weight lo = substrate.r(j, ut) / (3 * eps);
       const Weight dut = stack.metric.dist(ut, v);
+      // Above the top exponent the upper side of the sandwich is vacuous.
       const Weight hi =
-          (j + 1 <= max_size_exponent(stack.metric.n()))
-              ? size_radius(stack.metric, ut, j + 1) / 5
-              : kInfiniteWeight;
+          j < substrate.max_exponent() ? substrate.r(j + 1, ut) / 5 : kInfiniteWeight;
       ++claim_checked;
       if (lo < dut + 1e-9) ++lower_held;
       if (dut < hi + 1e-9) ++upper_held;

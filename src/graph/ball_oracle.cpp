@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/check.hpp"
+#include "core/epoch_marks.hpp"
 #include "core/parallel.hpp"
 #include "graph/dijkstra.hpp"
 #include "obs/mem.hpp"
@@ -27,28 +28,6 @@ const DijkstraWorkspace& run(const CsrGraph& csr,
   dijkstra_into(csr, sources, ws, bounds);
   CR_OBS_ADD("balls.settled", ws.settled().size());
   return ws;
-}
-
-// Epoch-stamped settled marks for assign_nearest: O(touched) per use, no
-// per-call allocation once warm, safe across oracles of different sizes.
-struct SettledStamp {
-  std::vector<std::uint32_t> mark;
-  std::uint32_t epoch = 0;
-
-  void begin(std::size_t n) {
-    if (mark.size() < n) mark.assign(n, 0);
-    if (++epoch == 0) {
-      std::fill(mark.begin(), mark.end(), 0);
-      epoch = 1;
-    }
-  }
-  void set(NodeId v) { mark[v] = epoch; }
-  bool test(NodeId v) const { return mark[v] == epoch; }
-};
-
-SettledStamp& tls_stamp() {
-  static thread_local SettledStamp stamp;
-  return stamp;
 }
 
 // Exact dedup key: the center paired with the radius's bit pattern (bitwise
@@ -255,16 +234,18 @@ BallOracle::NearestAssignment BallOracle::assign_nearest(
   NearestAssignment out;
   out.owner.resize(targets.size());
   out.dist.resize(targets.size());
-  SettledStamp& stamp = tls_stamp();
+  // Settled marks: O(touched) per use, no per-call allocation once warm,
+  // safe across oracles of different sizes.
+  static thread_local EpochMarks settled;
   Weight radius = seed_radius > 1 ? seed_radius : 1;
   for (;;) {
     const DijkstraWorkspace& ws =
         run(*csr_, sources, {.radius = radius, .scale = scale_});
-    stamp.begin(n_);
-    for (const NodeId v : ws.settled()) stamp.set(v);
+    settled.begin(n_);
+    for (const NodeId v : ws.settled()) settled.set(v);
     bool all_settled = true;
     for (const NodeId t : targets) {
-      if (!stamp.test(t)) {
+      if (!settled.test(t)) {
         all_settled = false;
         break;
       }

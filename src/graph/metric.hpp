@@ -22,6 +22,7 @@
 //
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,6 +33,8 @@
 #include "graph/graph.hpp"
 
 namespace compactroute {
+
+class ScaleFreeSubstrate;  // nets/ball_packing.hpp
 
 enum struct MetricBackendKind { kDense, kRowFree };
 
@@ -187,6 +190,12 @@ class MetricSpace {
   /// mem.metric.{dist,parent,order}_bytes); 0 in row-free mode.
   std::size_t memory_bytes() const;
 
+  /// This metric's size radii r_u(j) and packings ℬ_j, built once on the
+  /// first request (concurrent first requests share one build). The build
+  /// runs parallel_for: request it from a scheme constructor, never from a
+  /// parallel_for chunk. Defined in nets/ball_packing.cpp.
+  const ScaleFreeSubstrate& scale_free_substrate() const;
+
  private:
   bool dense() const { return kind_ == MetricBackendKind::kDense; }
   std::size_t index(NodeId row, NodeId col) const {
@@ -207,6 +216,13 @@ class MetricSpace {
   std::vector<Weight> dist_;    // dist_[u*n + v] = d(u, v), normalized
   std::vector<NodeId> parent_;  // parent_[t*n + u] = next hop of u toward t
   std::vector<NodeId> order_;   // order_[u*n + k] = k-th nearest node to u
+  // Behind a pointer so the metric stays movable (once_flag is not); a
+  // shared_ptr because its deleter works on the type left incomplete here.
+  struct SubstrateSlot {
+    std::once_flag once;
+    std::shared_ptr<const ScaleFreeSubstrate> value;
+  };
+  std::unique_ptr<SubstrateSlot> substrate_ = std::make_unique<SubstrateSlot>();
 };
 
 }  // namespace compactroute

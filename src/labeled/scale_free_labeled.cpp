@@ -7,40 +7,13 @@
 
 #include "core/bits.hpp"
 #include "core/check.hpp"
+#include "core/epoch_marks.hpp"
 #include "core/parallel.hpp"
 #include "graph/dijkstra.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 
 namespace compactroute {
-
-namespace {
-
-// Per-thread membership stamp for the search-tree store filter: one bounded
-// ball from the region center replaces a distance probe per cell member.
-// Epoch-stamped so thousands of regions (parallel workers) pay O(|ball|)
-// per region, not O(n) allocations.
-struct MemberStamp {
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-
-  void begin(std::size_t n) {
-    if (stamp.size() < n) stamp.assign(n, 0);
-    if (++epoch == 0) {
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-  void set(NodeId v) { stamp[v] = epoch; }
-  bool test(NodeId v) const { return stamp[v] == epoch; }
-};
-
-MemberStamp& tls_member_stamp() {
-  static thread_local MemberStamp stamp;
-  return stamp;
-}
-
-}  // namespace
 
 ScaleFreeLabeledScheme::ScaleFreeLabeledScheme(const MetricSpace& metric,
                                                const NetHierarchy& hierarchy,
@@ -68,12 +41,11 @@ void ScaleFreeLabeledScheme::build_rings() {
   const std::size_t n = metric_->n();
   const int top = hierarchy_->top_level();
 
-  // Phase 1 — per-node density profile. All max_exponent_+1 size radii of a
-  // node come out of ONE count-bounded run (size_radius_table), and R(u) is
-  // arithmetic on them; it only writes the u-th slot of each table, so the
-  // pass maps over nodes on the parallel executor. The same table feeds
-  // every packing level in build_packings().
-  size_radius_ = size_radius_table(*metric_);
+  // Phase 1 — per-node density profile. R(u) is arithmetic on u's size
+  // radii, copied from the metric's scale-free substrate (the table this
+  // scheme persists); it only writes the u-th slot of each table, so the
+  // pass maps over nodes on the parallel executor.
+  size_radius_ = metric_->scale_free_substrate().radius_table();
   level_set_.assign(n, {});
   rings_.assign(n, {});
   parallel_for("labeled.sf.rings", n, 16,
@@ -150,8 +122,9 @@ void ScaleFreeLabeledScheme::build_packings() {
     }
   };
 
+  const ScaleFreeSubstrate& substrate = metric_->scale_free_substrate();
   for (int j = 0; j <= max_exponent_; ++j) {
-    const BallPacking packing(*metric_, j, size_radius_[j]);
+    const BallPacking& packing = substrate.packing(j);
     std::vector<NodeId> centers;
     centers.reserve(packing.balls().size());
     for (const PackedBall& ball : packing.balls()) centers.push_back(ball.center);
@@ -190,13 +163,12 @@ void ScaleFreeLabeledScheme::build_packings() {
             *metric_, ball.center, ball.radius, epsilon_,
             options_.capped_search_trees ? SearchTree::Variant::kCappedVoronoi
                                          : SearchTree::Variant::kBasic);
-        const Weight reach = (j == max_exponent_)
-                                 ? metric_->delta()
-                                 : size_radius_[j + 1][ball.center];
+        const Weight reach = substrate.r(j + 1, ball.center);
         // One bounded ball from the center marks exactly the nodes with
         // d(center, v) <= reach — the same membership the per-node distance
-        // probe tested, without a metric query per cell member.
-        MemberStamp& within = tls_member_stamp();
+        // probe tested, without a metric query per cell member. Per-thread
+        // marks, so thousands of regions pay O(|ball|) each, not O(n).
+        static thread_local EpochMarks within;
         within.begin(n);
         for (NodeId v : metric_->ball(ball.center, reach)) within.set(v);
         std::vector<std::pair<SearchTree::Key, SearchTree::Data>> pairs;
@@ -303,8 +275,9 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
 
   RouteResult result;
   result.path.push_back(src);
+  RunningPathCost cost(*metric_);
   const auto delivered = [&]() {
-    result.cost = path_cost(*metric_, result.path);
+    result.cost = cost(result.path);
     result.delivered = true;
     return result;
   };
@@ -334,7 +307,7 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
       CR_CHECK_MSG(result.path.size() <= 8 * metric_->n(), "walk did not converge");
       if (hierarchy_->leaf_label(pos) == target_label) {
         tr.direct_delivery = true;
-        tr.walk_cost = path_cost(*metric_, result.path);
+        tr.walk_cost = cost(result.path);
         return delivered();
       }
       continue;
@@ -344,7 +317,7 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
   }
   tr.handoff_node = pos;
   tr.handoff_level = handoff_level;
-  tr.walk_cost = path_cost(*metric_, result.path);
+  tr.walk_cost = cost(result.path);
 
   // Handoff phase (lines 7–10), with the documented escalation guard.
   // Per the routing model (Section 1), every relay first checks whether the
@@ -371,33 +344,33 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
     const Region& region = regions_[j][region_of_[j][pos]];
     if (tr.region_center == kInvalidNode) tr.region_center = region.center;
 
-    const Weight before_center = path_cost(*metric_, result.path);
+    const Weight before_center = cost(result.path);
     const bool hit_on_way_to_center = append_locals(
         region, region.router->route(region.tree->local_id(pos),
                                      region.router->label(region.tree->root_local())));
     if (j == tr.packing_exponent) {
-      tr.to_center_cost = path_cost(*metric_, result.path) - before_center;
+      tr.to_center_cost = cost(result.path) - before_center;
     }
     if (hit_on_way_to_center) return delivered();
 
-    const Weight before_search = path_cost(*metric_, result.path);
+    const Weight before_search = cost(result.path);
     region.search->lookup(target_label, scratch, &lookup);
     bool hit_in_search = false;
     for (std::size_t s = 1; s < lookup.trail.size() && !hit_in_search; ++s) {
       hit_in_search = append_and_check(lookup.trail[s]);
     }
     if (j == tr.packing_exponent) {
-      tr.search_cost = path_cost(*metric_, result.path) - before_search;
+      tr.search_cost = cost(result.path) - before_search;
     }
     if (hit_in_search) return delivered();
 
     if (lookup.found) {
-      const Weight before_dest = path_cost(*metric_, result.path);
+      const Weight before_dest = cost(result.path);
       append_locals(region,
                     region.router->route(
                         region.tree->root_local(),
                         region.router->label(static_cast<int>(lookup.data))));
-      tr.to_dest_cost = path_cost(*metric_, result.path) - before_dest;
+      tr.to_dest_cost = cost(result.path) - before_dest;
       CR_CHECK(result.path.back() == target_node);
       return delivered();
     }

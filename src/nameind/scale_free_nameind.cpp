@@ -1,53 +1,17 @@
 #include "nameind/scale_free_nameind.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <set>
 
 #include "core/bits.hpp"
 #include "core/check.hpp"
+#include "core/epoch_marks.hpp"
 #include "core/parallel.hpp"
 #include "nameind/zoom_search.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 
 namespace compactroute {
-
-namespace {
-
-// Per-thread stamped distance table: one bounded ball from a net point
-// replaces a distance probe per (net point, packed ball) pair in the Type-2
-// membership scan. A slot's distance is meaningful only while its stamp
-// matches the epoch; centers beyond the ball radius simply never get
-// stamped, which is exactly the "too far to qualify" outcome.
-struct DistStamp {
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
-  std::vector<Weight> dist;
-
-  void begin(std::size_t n) {
-    if (stamp.size() < n) {
-      stamp.assign(n, 0);
-      dist.resize(n);
-    }
-    if (++epoch == 0) {
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-  void set(NodeId v, Weight d) {
-    stamp[v] = epoch;
-    dist[v] = d;
-  }
-  bool has(NodeId v) const { return stamp[v] == epoch; }
-};
-
-DistStamp& tls_dist_stamp() {
-  static thread_local DistStamp stamp;
-  return stamp;
-}
-
-}  // namespace
 
 ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
     const MetricSpace& metric, const NetHierarchy& hierarchy, const Naming& naming,
@@ -68,34 +32,24 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
   CR_CHECK_MSG(epsilon > 0 && epsilon < 1, "Theorem 1.1 requires ε ∈ (0, 1)");
   max_exponent_ = max_size_exponent(metric.n());
 
-  // Type-1 structures: one search tree per packed ball, holding the pairs of
-  // the 4x-size ball B_c(r_c(j+2)). The packing itself is sequential greedy;
-  // the per-ball trees are independent and build in parallel into their own
-  // slots.
+  // Type-1 structures: one search tree per packed ball of the metric's
+  // packings (copied, since the scheme persists them), holding the pairs of
+  // the 4x-size ball B_c(r_c(j+2)); r(j+2, c) is also every Type-2 coverage
+  // radius below. The per-ball trees build in parallel into their own slots.
+  const ScaleFreeSubstrate& substrate = metric.scale_free_substrate();
   packings_.resize(max_exponent_ + 1);
   ball_trees_.resize(max_exponent_ + 1);
-  // Every r_u(j) once: one count-bounded run per node feeds all packing
-  // levels and the reach radii below.
-  const std::vector<std::vector<Weight>> radius_table =
-      size_radius_table(metric);
-  // reach[j][b] = r_c(j+2) of ball b's center, with the paper's implicit
-  // clamp (exponents above log n denote the whole graph) — shared by the
-  // Type-1 store below and every Type-2 coverage test.
-  std::vector<std::vector<Weight>> reach(max_exponent_ + 1);
   for (int j = 0; j <= max_exponent_; ++j) {
-    packings_[j] = std::make_unique<BallPacking>(metric, j, radius_table[j]);
+    packings_[j] = std::make_unique<BallPacking>(substrate.packing(j));
     const std::vector<PackedBall>& balls = packings_[j]->balls();
     ball_trees_[j].resize(balls.size());
-    reach[j].resize(balls.size());
     parallel_for("nameind.sf.ball_trees", balls.size(), 1,
                  [&](std::size_t first, std::size_t last) {
       for (std::size_t b = first; b < last; ++b) {
         const PackedBall& ball = balls[b];
-        reach[j][b] = j + 2 <= max_exponent_ ? radius_table[j + 2][ball.center]
-                                             : metric.delta();
-        ball_trees_[j][b] =
-            make_name_tree(metric, naming, underlying, ball.center, ball.radius,
-                           reach[j][b], epsilon_);
+        ball_trees_[j][b] = make_name_tree(metric, naming, underlying,
+                                           ball.center, ball.radius,
+                                           substrate.r(j + 2, ball.center), epsilon_);
       }
     });
   }
@@ -117,14 +71,18 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
         Membership& info = memberships_[i][k];
         // Both qualification tests below need d(u, c) <= outer_radius (ball
         // radii are non-negative), so one bounded ball from u delivers every
-        // center distance the scan can use; an unstamped center is too far
-        // and fails ball_inside outright.
-        DistStamp& near = tls_dist_stamp();
+        // center distance the scan can use, into per-thread marks with a
+        // distance payload; an unmarked center is too far and fails
+        // ball_inside outright.
+        static thread_local EpochMarks near;
+        static thread_local std::vector<Weight> near_dist;
         if (options.subsume_with_packings) {
           near.begin(metric.n());
+          if (near_dist.size() < metric.n()) near_dist.resize(metric.n());
           const BallView view = metric.balls_oracle().ball(u, outer_radius);
           for (std::size_t m = 0; m < view.size(); ++m) {
-            near.set(view.members[m], view.dist[m]);
+            near.set(view.members[m]);
+            near_dist[view.members[m]] = view.dist[m];
           }
         }
         for (int j = 0; options.subsume_with_packings && j <= max_exponent_ &&
@@ -133,10 +91,11 @@ ScaleFreeNameIndependentScheme::ScaleFreeNameIndependentScheme(
           Weight best_dist = 0;
           for (std::size_t b = 0; b < packings_[j]->balls().size(); ++b) {
             const PackedBall& ball = packings_[j]->balls()[b];
-            if (!near.has(ball.center)) continue;
-            const Weight duc = near.dist[ball.center];
+            if (!near.test(ball.center)) continue;
+            const Weight duc = near_dist[ball.center];
             const bool ball_inside = duc + ball.radius <= outer_radius;
-            const bool we_are_covered = duc + own_radius <= reach[j][b];
+            const bool we_are_covered =
+                duc + own_radius <= substrate.r(j + 2, ball.center);
             if (!ball_inside || !we_are_covered) continue;
             if (info.h_ball < 0 || duc < best_dist) {
               info.h_exponent = j;

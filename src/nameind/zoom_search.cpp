@@ -40,10 +40,11 @@ RouteResult zoom_and_search(
   }
 
   // Cost of the path appended since the previous call.
+  RunningPathCost cost(metric);
   Weight checkpoint = 0;
   const auto cost_since = [&] {
     const Weight before = checkpoint;
-    checkpoint = path_cost(metric, result.path);
+    checkpoint = cost(result.path);
     return checkpoint - before;
   };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 
 #include "core/bits.hpp"
 #include "core/check.hpp"
@@ -18,45 +19,30 @@ Weight size_radius(const MetricSpace& metric, NodeId u, int size_exponent) {
 
 int max_size_exponent(std::size_t n) { return floor_log2(n); }
 
-std::vector<std::vector<Weight>> size_radius_table(const MetricSpace& metric) {
+ScaleFreeSubstrate::ScaleFreeSubstrate(const MetricSpace& metric)
+    : max_exponent_(max_size_exponent(metric.n())), delta_(metric.delta()) {
   const std::size_t n = metric.n();
-  const int top = max_size_exponent(n);
-  std::vector<std::size_t> counts(top + 1);
-  for (int j = 0; j <= top; ++j) counts[j] = std::size_t{1} << j;
-  std::vector<std::vector<Weight>> table(top + 1, std::vector<Weight>(n));
+  std::vector<std::size_t> counts(max_exponent_ + 1);
+  for (int j = 0; j <= max_exponent_; ++j) counts[j] = std::size_t{1} << j;
+  table_.assign(max_exponent_ + 1, std::vector<Weight>(n));
   parallel_for("nets.packing.radii", n, 16,
                [&](std::size_t first, std::size_t last) {
                  for (NodeId u = static_cast<NodeId>(first); u < last; ++u) {
                    const std::vector<Weight> radii =
                        metric.balls_oracle().size_radii(u, counts);
-                   for (int j = 0; j <= top; ++j) table[j][u] = radii[j];
+                   for (int j = 0; j <= max_exponent_; ++j) table_[j][u] = radii[j];
                  }
                });
-  return table;
+  for (int j = 0; j <= max_exponent_; ++j) packings_.emplace_back(metric, j, table_[j]);
 }
 
-namespace {
-
-// The r_u(j) column of one level: each size radius is an independent
-// count-bounded query (2^j settles), so the n of them map over the parallel
-// executor.
-std::vector<Weight> size_radius_column(const MetricSpace& metric,
-                                       int size_exponent) {
-  std::vector<Weight> radii(metric.n());
-  parallel_for("nets.packing.radii", metric.n(), 64,
-               [&](std::size_t first, std::size_t last) {
-                 for (NodeId u = static_cast<NodeId>(first); u < last; ++u) {
-                   radii[u] = size_radius(metric, u, size_exponent);
-                 }
-               });
-  return radii;
+const ScaleFreeSubstrate& MetricSpace::scale_free_substrate() const {
+  SubstrateSlot& slot = *substrate_;
+  std::call_once(slot.once, [&] {
+    slot.value.reset(new ScaleFreeSubstrate(*this));
+  });
+  return *slot.value;
 }
-
-}  // namespace
-
-BallPacking::BallPacking(const MetricSpace& metric, int size_exponent)
-    : BallPacking(metric, size_exponent,
-                  size_radius_column(metric, size_exponent)) {}
 
 BallPacking::BallPacking(const MetricSpace& metric, int size_exponent,
                          std::span<const Weight> radii)

@@ -9,7 +9,8 @@
 // packed ball B(c) with r_c(j) <= r_u(j) and d(u, c) <= 2 r_u(j). Packings are
 // the combinatorial counterweight to the geometric r-net hierarchy: they let
 // the schemes of Sections 3.3 and 4 replace the log Δ level count with log n,
-// making them scale-free.
+// making them scale-free. Both schemes read one ScaleFreeSubstrate per metric
+// (every r_u(j) and every ℬ_j), built once on first request.
 //
 #include <cstddef>
 #include <span>
@@ -30,7 +31,7 @@ struct PackedBall {
 class BallPacking {
  public:
   /// Builds ℬ_j for the given size exponent (ball size target 2^j) from its
-  /// size-radius column, radii[u] = r_u(j) — row j of size_radius_table().
+  /// size-radius column, radii[u] = r_u(j) — row j of the substrate table.
   /// With ties in the metric, a ball of radius r_u(j) may hold slightly more
   /// than 2^j nodes; the packing properties hold with "size >= 2^j".
   ///
@@ -41,9 +42,6 @@ class BallPacking {
   /// Counted in packing.{candidates,center_rejects,probe_rejects,accepted}.
   BallPacking(const MetricSpace& metric, int size_exponent,
               std::span<const Weight> radii);
-  /// Same, computing the radius column itself (one count-bounded run per
-  /// node). For callers that build a single level.
-  BallPacking(const MetricSpace& metric, int size_exponent);
 
   int size_exponent() const { return j_; }
   const std::vector<PackedBall>& balls() const { return balls_; }
@@ -66,15 +64,36 @@ class BallPacking {
 };
 
 /// r_u(j): smallest radius whose ball around u holds 2^j nodes (u included).
+/// The point query; ScaleFreeSubstrate holds every value at once.
 Weight size_radius(const MetricSpace& metric, NodeId u, int size_exponent);
-
-/// Every size radius of the metric: table[j][u] = r_u(j) for
-/// j = 0..max_size_exponent(n), bit-identical to size_radius(). One
-/// count-bounded run per node yields all of that node's radii at once (the
-/// prefix radii of one settle order), mapped over the parallel executor.
-std::vector<std::vector<Weight>> size_radius_table(const MetricSpace& metric);
 
 /// Largest j with 2^j <= n, i.e. the top of the packing hierarchy.
 int max_size_exponent(std::size_t n);
+
+/// What both scale-free schemes build on, once per metric
+/// (MetricSpace::scale_free_substrate()): J = max_size_exponent(n), every
+/// r_u(j) for j = 0..J, and the packings ℬ_0..ℬ_J.
+class ScaleFreeSubstrate {
+ public:
+  int max_exponent() const { return max_exponent_; }
+  /// table[j][u] = r_u(j) for j = 0..J.
+  const std::vector<std::vector<Weight>>& radius_table() const { return table_; }
+  /// r_u(j) with the paper's clamp: an exponent above log n denotes the whole
+  /// graph, so r(j, u) = Δ for j > J.
+  Weight r(int j, NodeId u) const { return j > max_exponent_ ? delta_ : table_[j][u]; }
+  const BallPacking& packing(int j) const { return packings_[j]; }
+
+ private:
+  friend class MetricSpace;  // the only builder, so one per metric
+  /// One count-bounded run per node yields all of its radii at once (the
+  /// prefix radii of one settle order, bit-identical to size_radius()),
+  /// mapped over the parallel executor; ℬ_j is the greedy over row j.
+  explicit ScaleFreeSubstrate(const MetricSpace& metric);
+
+  int max_exponent_ = 0;
+  Weight delta_ = 0;
+  std::vector<std::vector<Weight>> table_;
+  std::vector<BallPacking> packings_;
+};
 
 }  // namespace compactroute

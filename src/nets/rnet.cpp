@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <functional>
 
 #include "core/check.hpp"
+#include "core/epoch_marks.hpp"
 #include "core/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
@@ -13,33 +13,6 @@
 namespace compactroute {
 
 Weight level_radius(int i) { return std::ldexp(1.0, i); }
-
-namespace {
-
-// Epoch-stamped coverage marks: build_rnet runs serially per call but is
-// invoked from parallel workers (one search tree per chunk), so each thread
-// keeps its own stamp array and resets it in O(1) per call.
-struct CoverStamp {
-  std::vector<std::uint32_t> mark;
-  std::uint32_t epoch = 0;
-
-  void begin(std::size_t n) {
-    if (mark.size() < n) mark.assign(n, 0);
-    if (++epoch == 0) {
-      std::fill(mark.begin(), mark.end(), 0);
-      epoch = 1;
-    }
-  }
-  void set(NodeId v) { mark[v] = epoch; }
-  bool test(NodeId v) const { return mark[v] == epoch; }
-};
-
-CoverStamp& tls_cover() {
-  static thread_local CoverStamp stamp;
-  return stamp;
-}
-
-}  // namespace
 
 std::vector<NodeId> build_rnet(const MetricSpace& metric,
                                const std::vector<NodeId>& candidates, Weight r,
@@ -53,7 +26,10 @@ std::vector<NodeId> build_rnet(const MetricSpace& metric,
   // doubling metric each node lies in O(1) accepted balls, so a whole level
   // costs O(n) ball-member visits.
   const BallOracle& oracle = metric.balls_oracle();
-  CoverStamp& covered = tls_cover();
+  // Coverage marks: build_rnet runs serially per call but is invoked from
+  // parallel workers (one search tree per chunk), so each thread keeps its
+  // own marks and resets them in O(1) per call.
+  static thread_local EpochMarks covered;
   covered.begin(metric.n());
 
   const auto mark = [&](NodeId x) {

@@ -32,8 +32,29 @@ struct RouteResult {
   Weight cost = 0;
 };
 
+/// path_cost of a path that only grows at its end, as a running total: each
+/// call adds just the hops appended since the last one, left to right from
+/// 0, so it equals path_cost(metric, path) without rescanning the prefix.
+class RunningPathCost {
+ public:
+  explicit RunningPathCost(const MetricSpace& metric) : metric_(&metric) {}
+  Weight operator()(const Path& path) {
+    for (; hops_ + 1 < path.size(); ++hops_) {
+      total_ += metric_->dist(path[hops_], path[hops_ + 1]);
+    }
+    return total_;
+  }
+
+ private:
+  const MetricSpace* metric_;
+  std::size_t hops_ = 0;  // hops summed so far
+  Weight total_ = 0;
+};
+
 /// Sums metric distances over consecutive path entries.
-Weight path_cost(const MetricSpace& metric, const Path& path);
+inline Weight path_cost(const MetricSpace& metric, const Path& path) {
+  return RunningPathCost(metric)(path);
+}
 
 class LabeledScheme {
  public:

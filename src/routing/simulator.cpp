@@ -8,14 +8,6 @@
 
 namespace compactroute {
 
-Weight path_cost(const MetricSpace& metric, const Path& path) {
-  Weight cost = 0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    cost += metric.dist(path[i - 1], path[i]);
-  }
-  return cost;
-}
-
 void StretchStats::record(double stretch) {
   max_stretch = std::max(max_stretch, stretch);
   sum_stretch += stretch;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <unordered_map>
 
 #include "core/check.hpp"
+#include "core/epoch_marks.hpp"
 #include "nets/rnet.hpp"
 
 namespace compactroute {
@@ -15,42 +15,31 @@ namespace {
 // Per-thread tree-assembly scratch, epoch-stamped so a scheme that builds
 // thousands of small trees (one per net point, in parallel workers) pays
 // O(|ball|) per tree, not O(n) allocations. A slot's parent/weight/level/
-// tail values are meaningful only while its stamp matches the epoch.
+// tail values are meaningful only while the node is marked.
 struct TreeScratch {
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t epoch = 0;
+  EpochMarks marks;
   std::vector<NodeId> parent;
   std::vector<Weight> weight;
   std::vector<int> level;
   std::vector<char> tail;
 
   void begin(std::size_t n) {
-    if (stamp.size() < n) {
-      stamp.assign(n, 0);
+    marks.begin(n);
+    if (parent.size() < n) {
       parent.resize(n);
       weight.resize(n);
       level.resize(n);
       tail.resize(n);
     }
-    if (++epoch == 0) {
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
   }
-  bool assigned(NodeId v) const { return stamp[v] == epoch; }
   void assign(NodeId v, NodeId p, Weight w, int lvl, char in_tail) {
-    stamp[v] = epoch;
+    marks.set(v);
     parent[v] = p;
     weight[v] = w;
     level[v] = lvl;
     tail[v] = in_tail;
   }
 };
-
-TreeScratch& tls_tree_scratch() {
-  static thread_local TreeScratch scratch;
-  return scratch;
-}
 
 }  // namespace
 
@@ -83,7 +72,7 @@ void SearchTree::build(const MetricSpace& metric, double epsilon, Variant varian
   }
 
   const BallOracle& oracle = metric.balls_oracle();
-  TreeScratch& scratch = tls_tree_scratch();
+  static thread_local TreeScratch scratch;
   scratch.begin(metric.n());
   scratch.assign(center_, kInvalidNode, 0, 0, 0);
 
@@ -145,7 +134,7 @@ void SearchTree::build(const MetricSpace& metric, double epsilon, Variant varian
     placed = current;
     std::vector<NodeId> still;
     for (NodeId v : remaining) {
-      if (!scratch.assigned(v)) still.push_back(v);
+      if (!scratch.marks.test(v)) still.push_back(v);
     }
     remaining = std::move(still);
   }

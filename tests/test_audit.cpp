@@ -228,7 +228,7 @@ TEST(AuditMutation, DfsCatchesLabelCollision) {
 // Defect 7: a node claimed by two packed balls — Lemma 2.3 disjointness.
 TEST(AuditMutation, PackingCatchesDuplicateMember) {
   Stack& s = stack();
-  const BallPacking packing(s.metric, 2);
+  const BallPacking& packing = s.metric.scale_free_substrate().packing(2);
   ASSERT_GE(packing.balls().size(), 2u);
   PackingView view = PackingView::of(packing);
   const auto base_balls = view.balls;
@@ -245,7 +245,7 @@ TEST(AuditMutation, PackingCatchesDuplicateMember) {
 // Defect 8: a packed ball below its 2^j size floor — Lemma 2.3 ball size.
 TEST(AuditMutation, PackingCatchesUndersizedBall) {
   Stack& s = stack();
-  const BallPacking packing(s.metric, 2);
+  const BallPacking& packing = s.metric.scale_free_substrate().packing(2);
   PackingView view = PackingView::of(packing);
   const auto base_balls = view.balls;
   view.balls = [base_balls]() {

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
 #include "graph/metric.hpp"
+#include "labeled/scale_free_labeled.hpp"
+#include "nameind/scale_free_nameind.hpp"
 #include "nets/ball_packing.hpp"
 #include "nets/rnet.hpp"
 #include "obs/metrics.hpp"
@@ -231,7 +235,7 @@ TEST_P(PackingTest, PackingLemmaProperties) {
                                         : MetricBackendKind::kRowFree;
   const MetricSpace metric(graph, backend_options(backend));
   for (int j = 0; j <= max_size_exponent(metric.n()); ++j) {
-    const BallPacking packing(metric, j);
+    const BallPacking& packing = metric.scale_free_substrate().packing(j);
     // Property 1: every ball holds at least 2^j nodes (ties can add more).
     for (const PackedBall& ball : packing.balls()) {
       EXPECT_GE(ball.nodes.size(), std::size_t{1} << j);
@@ -276,47 +280,63 @@ INSTANTIATE_TEST_SUITE_P(ZooRowFree, PackingTest,
                                .name;
                          });
 
-// The early-exit greedy (center test + stop-at-first-claimed probe) must make
-// exactly the reference greedy's decisions, level by level, in both metric
-// modes — and the size-radius table the schemes feed it must match
-// size_radius(), so the table-fed constructor agrees with the one that
-// computes its own radius column.
+// The substrate's size-radius table must match the point query size_radius()
+// (and clamp to Δ above the top exponent), and its early-exit greedy (center
+// test + stop-at-first-claimed probe) must make exactly the reference
+// greedy's decisions, level by level, in both metric modes.
 TEST(Packing, EarlyExitGreedyMatchesReferenceGreedy) {
   for (const auto& [name, graph] : small_graph_zoo()) {
     for (const MetricBackendKind backend :
          {MetricBackendKind::kDense, MetricBackendKind::kRowFree}) {
       SCOPED_TRACE(name + "/" + backend_name(backend));
       const MetricSpace metric(graph, backend_options(backend));
-      const std::vector<std::vector<Weight>> table = size_radius_table(metric);
-      ASSERT_EQ(table.size(),
-                static_cast<std::size_t>(max_size_exponent(metric.n()) + 1));
-      for (int j = 0; j <= max_size_exponent(metric.n()); ++j) {
+      const ScaleFreeSubstrate& substrate = metric.scale_free_substrate();
+      const int top = max_size_exponent(metric.n());
+      ASSERT_EQ(substrate.radius_table().size(), static_cast<std::size_t>(top + 1));
+      EXPECT_EQ(substrate.r(top + 1, metric.n() - 1), metric.delta());
+      for (int j = 0; j <= top; ++j) {
         SCOPED_TRACE(j);
         for (NodeId u = 0; u < metric.n(); ++u) {
-          ASSERT_EQ(table[j][u], size_radius(metric, u, j)) << u;
+          ASSERT_EQ(substrate.r(j, u), size_radius(metric, u, j)) << u;
         }
         const std::vector<PackedBall> expected = reference_packing(metric, j);
-        const BallPacking own(metric, j);
-        const BallPacking fed(metric, j, table[j]);
-        for (const BallPacking* packing : {&own, &fed}) {
-          ASSERT_EQ(packing->balls().size(), expected.size());
-          std::vector<int> containing(metric.n(), -1);
-          for (std::size_t b = 0; b < expected.size(); ++b) {
-            const PackedBall& got = packing->balls()[b];
-            EXPECT_EQ(got.center, expected[b].center);
-            EXPECT_EQ(got.radius, expected[b].radius);
-            EXPECT_EQ(got.nodes, expected[b].nodes);
-            for (NodeId v : expected[b].nodes) {
-              containing[v] = static_cast<int>(b);
-            }
+        const BallPacking& packing = substrate.packing(j);
+        ASSERT_EQ(packing.balls().size(), expected.size());
+        std::vector<int> containing(metric.n(), -1);
+        for (std::size_t b = 0; b < expected.size(); ++b) {
+          const PackedBall& got = packing.balls()[b];
+          EXPECT_EQ(got.center, expected[b].center);
+          EXPECT_EQ(got.radius, expected[b].radius);
+          EXPECT_EQ(got.nodes, expected[b].nodes);
+          for (NodeId v : expected[b].nodes) {
+            containing[v] = static_cast<int>(b);
           }
-          for (NodeId v = 0; v < metric.n(); ++v) {
-            EXPECT_EQ(packing->ball_containing(v), containing[v]) << v;
-          }
+        }
+        for (NodeId v = 0; v < metric.n(); ++v) {
+          EXPECT_EQ(packing.ball_containing(v), containing[v]) << v;
         }
       }
     }
   }
+}
+
+// Two threads that ask for one metric's substrate at the same moment get the
+// same object; the TSan job checks the first build for races.
+TEST(Packing, ConcurrentRequestsShareOneSubstrate) {
+  const MetricSpace metric(make_grid_with_holes(10, 10, 4, 3, 7),
+                           backend_options(MetricBackendKind::kRowFree));
+  std::atomic<int> waiting{2};
+  const ScaleFreeSubstrate* seen[2] = {};
+  const auto request = [&](int k) {
+    waiting.fetch_sub(1);
+    while (waiting.load() > 0) std::this_thread::yield();
+    seen[k] = &metric.scale_free_substrate();
+  };
+  std::thread first(request, 0), second(request, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], &metric.scale_free_substrate());
 }
 
 #ifndef CR_OBS_DISABLED
@@ -333,9 +353,10 @@ TEST(Packing, CountersAccountForEveryCandidate) {
   const MetricSpace metric(make_grid_with_holes(10, 10, 4, 3, 7),
                            backend_options(MetricBackendKind::kRowFree));
   obs::reset_global();
+  const ScaleFreeSubstrate& substrate = metric.scale_free_substrate();
   std::size_t packed = 0;
-  const int top = max_size_exponent(metric.n());
-  for (int j = 0; j <= top; ++j) packed += BallPacking(metric, j).balls().size();
+  const int top = substrate.max_exponent();
+  for (int j = 0; j <= top; ++j) packed += substrate.packing(j).balls().size();
   const std::uint64_t candidates = scraped_counter("packing.candidates");
   const std::uint64_t center_rejects = scraped_counter("packing.center_rejects");
   const std::uint64_t probe_rejects = scraped_counter("packing.probe_rejects");
@@ -346,6 +367,26 @@ TEST(Packing, CountersAccountForEveryCandidate) {
   // Both guards fire on a non-trivial metric.
   EXPECT_GT(center_rejects, 0u);
   EXPECT_GT(probe_rejects, 0u);
+}
+
+// Both scale-free schemes read the metric's one substrate: building the
+// labeled scheme and then the name-independent scheme on it runs the packing
+// greedy over each level's n candidates once, not once per scheme.
+TEST(Packing, ScaleFreeSchemesShareOneSubstrate) {
+  for (const MetricBackendKind backend :
+       {MetricBackendKind::kDense, MetricBackendKind::kRowFree}) {
+    SCOPED_TRACE(backend_name(backend));
+    const MetricSpace metric(make_grid_with_holes(10, 10, 4, 3, 7),
+                             backend_options(backend));
+    const NetHierarchy hierarchy(metric);
+    const Naming naming = Naming::random(metric.n(), 11);
+    obs::reset_global();
+    const ScaleFreeLabeledScheme labeled(metric, hierarchy, 0.5);
+    const ScaleFreeNameIndependentScheme scheme(metric, hierarchy, naming,
+                                                labeled, 0.5);
+    const std::size_t levels = max_size_exponent(metric.n()) + 1;
+    EXPECT_EQ(scraped_counter("packing.candidates"), levels * metric.n());
+  }
 }
 #endif  // CR_OBS_DISABLED
 
