@@ -38,6 +38,33 @@ std::size_t env_workers() {
   return std::min<std::size_t>(v, kMaxWorkers);
 }
 
+#ifndef CR_OBS_DISABLED
+/// A region's telemetry handles in the calling thread's registry shard.
+struct RegionMeters {
+  const char* region;
+  obs::Counter* tasks;
+  obs::Counter* chunks;
+  obs::Timer* timer;  // "parallel.<region>"
+};
+
+/// The calling thread's handles for `region`, looked up in the registry on
+/// the thread's first region of that name and cached by the literal's
+/// address (registry nodes are stable), so a steady-state region start
+/// builds no string and takes no registry lock. The cache holds one entry
+/// per parallel_for call site the thread has run.
+RegionMeters region_meters(const char* region) {
+  static thread_local std::vector<RegionMeters> cache;
+  for (const RegionMeters& meters : cache) {
+    if (meters.region == region) return meters;
+  }
+  obs::Registry& registry = obs::local_registry();
+  cache.push_back({region, &registry.counter("parallel.tasks"),
+                   &registry.counter("parallel.chunks"),
+                   &registry.timer(std::string("parallel.") + region)});
+  return cache.back();
+}
+#endif
+
 /// One parallel region. Workers pull chunk indices from `next`; the chunk
 /// geometry is fixed up front so scheduling order cannot affect results.
 struct Job {
@@ -169,10 +196,10 @@ void Executor::run(const char* region, std::size_t n, std::size_t chunk,
   const std::size_t num_chunks = (n + chunk - 1) / chunk;
 
 #ifndef CR_OBS_DISABLED
-  obs::Registry& registry = obs::local_registry();
-  registry.counter("parallel.tasks").inc();
-  registry.counter("parallel.chunks").inc(num_chunks);
-  obs::ScopedTimer span(registry.timer(std::string("parallel.") + region));
+  const RegionMeters meters = region_meters(region);
+  meters.tasks->inc();
+  meters.chunks->inc(num_chunks);
+  obs::ScopedTimer span(*meters.timer);
 #else
   (void)region;
 #endif

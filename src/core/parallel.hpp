@@ -47,7 +47,8 @@ class Executor {
   /// Runs fn(ctx, c * chunk, min(n, (c + 1) * chunk)) for every chunk index
   /// c in [0, ceil(n / chunk)). `region` names the loop for telemetry
   /// (timer "parallel.<region>", counters "parallel.tasks" /
-  /// "parallel.chunks"). Blocks until every chunk has run.
+  /// "parallel.chunks") and must be a string literal: the telemetry handles
+  /// are cached per thread by its address. Blocks until every chunk has run.
   void run(const char* region, std::size_t n, std::size_t chunk, ChunkFn fn,
            void* ctx);
 

@@ -16,6 +16,15 @@ namespace compactroute {
 
 namespace {
 
+#ifndef CR_OBS_DISABLED
+obs::LogHistogram& route_hops_histogram() {
+  static thread_local obs::LogHistogram* hist =
+      &obs::local_registry().log_histogram("serve.route_hops", 1.0, 65536.0,
+                                           4);
+  return *hist;
+}
+#endif
+
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
   const double rank = q * static_cast<double>(sorted.size() - 1);
@@ -81,22 +90,23 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
   const std::size_t sample_every =
       obs::SpanCollector::global().enabled() ? options.span_sample_every : 0;
 #endif
-  constexpr std::size_t kChunk = 64;
-  parallel_for("serve.batch", count, kChunk, [&](std::size_t first,
-                                                 std::size_t last) {
+  std::vector<DispatchKey> keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    keys[i].dest_key = requests[i].dest_key;
+    keys[i].item = i;
+  }
+  dispatch_sorted("serve.batch", keys, [&](const DispatchKey* first,
+                                           const DispatchKey* last) {
 #ifndef CR_OBS_DISABLED
-    // Shard handles resolve once per chunk (each lookup locks the shard's
-    // own mutex); the steady-state per-request cost is two relaxed
-    // histogram updates and one ring-buffer store.
+    // Histogram handles are cached per thread; the steady-state
+    // per-request cost is two relaxed histogram updates and one
+    // ring-buffer store.
     obs::LogHistogram* lat_hist = nullptr;
     obs::LogHistogram* hops_hist = nullptr;
     double chunk_t_us = 0;
     if (instrument) {
-      obs::Registry& shard = obs::local_registry();
-      if (options.collect_latencies) {
-        lat_hist = &shard.log_histogram("serve.latency_us", 1e-2, 1e7, 16);
-      }
-      hops_hist = &shard.log_histogram("serve.route_hops", 1.0, 65536.0, 4);
+      if (options.collect_latencies) lat_hist = &serve_latency_histogram();
+      hops_hist = &route_hops_histogram();
       // Flight events share one timestamp per chunk: the ring is a crash-dump
       // aid, chunk granularity (64 requests) orders dumps well enough, and it
       // keeps a clock read off the per-request path.
@@ -135,23 +145,8 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
       (void)lat_us;
 #endif
     };
-    // Dispatch order: destination-sorted within the chunk, so consecutive
-    // requests revisit overlapping arena rows while they are still cached.
-    // Outputs land in per-index slots, so order never affects results.
-    const std::size_t len = last - first;
-    CR_DCHECK(len <= kChunk);  // parallel_for's chunk contract
-    std::uint32_t order[kChunk];
-    for (std::size_t k = 0; k < len; ++k) {
-      order[k] = static_cast<std::uint32_t>(first + k);
-    }
-    std::sort(order, order + len, [&](std::uint32_t a, std::uint32_t b) {
-      if (requests[a].dest_key != requests[b].dest_key) {
-        return requests[a].dest_key < requests[b].dest_key;
-      }
-      return a < b;
-    });
-    for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t i = order[k];
+    for (const DispatchKey* key = first; key != last; ++key) {
+      const std::size_t i = key->item;
 #ifndef CR_OBS_DISABLED
       if (sample_every != 0 && i % sample_every == 0) {
         obs::SpanScope span("serve.request", "serve");
@@ -188,6 +183,14 @@ ServeStats serve_batch(const CsrGraph& csr, const HopScheme& scheme,
   CR_OBS_ADD("serve.hops", stats.total_hops);
   return stats;
 }
+
+#ifndef CR_OBS_DISABLED
+obs::LogHistogram& serve_latency_histogram() {
+  static thread_local obs::LogHistogram* hist =
+      &obs::local_registry().log_histogram("serve.latency_us", 1e-2, 1e7, 16);
+  return *hist;
+}
+#endif
 
 void preregister_serving_metrics() {
 #ifndef CR_OBS_DISABLED

@@ -11,6 +11,13 @@
 // and traces are never materialized — the per-request outputs are a hop
 // count and a running fingerprint).
 //
+// Dispatch order: every batch in the library — a serve_batch replay and
+// each wave a Server pump drains — is served through dispatch_sorted. The
+// whole batch is sorted by (scheme, destination key) and then handed to
+// the Executor in 64-request chunks, so requests toward one destination run
+// back to back and revisit the same arena rows while they are still cached.
+// Results land in per-request slots, so the order moves speed, never output.
+//
 // Fingerprints: each request folds its visited node sequence into a 64-bit
 // FNV-style hash (RouteFingerprint); a batch combines per-request
 // fingerprints XOR-wise after mixing in the request index (fold_batch_digest),
@@ -20,16 +27,22 @@
 // Server::delivered_digest, ServerEpoch's self-fingerprint) folds through
 // these two definitions.
 //
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "core/types.hpp"
 #include "graph/csr.hpp"
 #include "runtime/hop_scheme.hpp"
 
 namespace compactroute {
+
+namespace obs {
+class LogHistogram;
+}  // namespace obs
 
 struct ServeRequest {
   NodeId src = 0;
@@ -70,6 +83,43 @@ struct ServeStats {
   /// Order- and thread-count-independent digest of every route taken.
   std::uint64_t fingerprint = 0;
 };
+
+/// Requests per Executor chunk of a sorted dispatch.
+inline constexpr std::size_t kDispatchChunk = 64;
+
+/// One request's place in the serve order: (scheme, dest_key, item),
+/// compared lexicographically. `dest_key` is the key the request is served
+/// with, resolved once when the key is built. `item` is the request's index
+/// in the caller's batch (serve_batch's request array, a Server pump's
+/// drained wave); it is unique, so the order is total and requests toward
+/// one destination keep their batch order.
+struct DispatchKey {
+  std::uint64_t dest_key = 0;
+  std::uint64_t item = 0;
+  std::uint8_t scheme = 0;
+
+  friend bool operator<(const DispatchKey& a, const DispatchKey& b) {
+    if (a.scheme != b.scheme) return a.scheme < b.scheme;
+    if (a.dest_key != b.dest_key) return a.dest_key < b.dest_key;
+    return a.item < b.item;
+  }
+};
+
+/// Sorts `keys` into serve order, then runs serve_chunk(first, last) over
+/// consecutive kDispatchChunk-key ranges [first, last) on the Executor
+/// (parallel_for region `region`, a string literal). serve_chunk must write
+/// only per-request slots, so the results do not depend on the order or on
+/// the worker count.
+template <typename ServeChunk>
+void dispatch_sorted(const char* region, std::vector<DispatchKey>& keys,
+                     ServeChunk&& serve_chunk) {
+  std::sort(keys.begin(), keys.end());
+  const DispatchKey* sorted = keys.data();
+  parallel_for(region, keys.size(), kDispatchChunk,
+               [&](std::size_t first, std::size_t last) {
+                 serve_chunk(sorted + first, sorted + last);
+               });
+}
 
 /// Per-route fingerprint: seeded with the request, then folded with every
 /// node the packet is forwarded to (FNV-1a style, 64-bit prime).
@@ -127,5 +177,13 @@ std::uint64_t serve_one(const CsrGraph& csr, const HopScheme& scheme,
 /// scrapes and the Prometheus exposition surface them at zero from process
 /// start even before any request arrives. No-op under CR_OBS_DISABLED.
 void preregister_serving_metrics();
+
+#ifndef CR_OBS_DISABLED
+/// The calling thread's "serve.latency_us" log histogram (the one
+/// serve_batch and Server::pump record into), looked up once per thread:
+/// registry nodes are stable, so the serve paths skip the locked by-name
+/// lookup.
+obs::LogHistogram& serve_latency_histogram();
+#endif
 
 }  // namespace compactroute

@@ -194,14 +194,21 @@ std::uint64_t ServerEpoch::dest_key(ServeScheme scheme, NodeId dest) const {
 std::uint64_t ServerEpoch::serve(const ServerRequest& request,
                                  std::size_t max_hops,
                                  std::size_t* hops) const {
-  const HopScheme* scheme = hop_scheme(request.scheme);
-  CR_CHECK_MSG(scheme != nullptr, "request for a scheme this epoch lacks");
-  const std::size_t budget =
-      max_hops != 0 ? max_hops : default_hop_budget(n_);
   ServeRequest one;
   one.src = request.src;
   one.dest_key = dest_key(request.scheme, request.dest);
-  return serve_one(csr_, *scheme, one, budget, hops);
+  return serve_keyed(request.scheme, one, max_hops, hops);
+}
+
+std::uint64_t ServerEpoch::serve_keyed(ServeScheme scheme,
+                                       const ServeRequest& request,
+                                       std::size_t max_hops,
+                                       std::size_t* hops) const {
+  const HopScheme* hop = hop_scheme(scheme);
+  CR_CHECK_MSG(hop != nullptr, "request for a scheme this epoch lacks");
+  const std::size_t budget =
+      max_hops != 0 ? max_hops : default_hop_budget(n_);
+  return serve_one(csr_, *hop, request, budget, hops);
 }
 
 std::uint64_t ServerEpoch::compute_self_fingerprint() const {
@@ -296,62 +303,73 @@ bool Server::submit(const ServerRequest& request, std::uint64_t id) {
 }
 
 std::size_t Server::pump(std::vector<ServerResult>& results) {
-  const std::size_t num_shards = shards_.size();
-  // Exactly-once drain: each shard's ring moves wholesale into pump-local
-  // scratch under the shard lock; concurrent pumps therefore partition the
-  // queued requests between them.
-  std::vector<std::vector<Entry>> scratch(num_shards);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.ring.empty()) continue;
-    scratch[s].swap(shard.ring);
-    shard.ring.reserve(options_.queue_depth);
-    total += scratch[s].size();
-    shard.room.notify_all();
+  // The pumping thread's wave buffers, reused across pumps: a steady-state
+  // pump allocates nothing. Exactly-once drain: under the shard lock each
+  // ring appends to the wave and is cleared (keeping its capacity);
+  // concurrent pumps therefore partition the queued requests between them.
+  static thread_local std::vector<Entry> wave;
+  static thread_local std::vector<DispatchKey> keys;
+  wave.clear();
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    if (shard->ring.empty()) continue;
+    wave.insert(wave.end(), shard->ring.begin(), shard->ring.end());
+    shard->ring.clear();
+    shard->room.notify_all();
   }
+  const std::size_t total = wave.size();
   if (total == 0) return 0;
   // Monotone time-integral proxy for instantaneous depth: every pump adds
   // the occupancy it observed, so depth-per-pump is recoverable from two
   // scrapes (DESIGN.md §12).
   CR_OBS_ADD("serve.queue.depth", total);
 
-  parallel_for("server.pump", num_shards, 1, [&](std::size_t first,
-                                                 std::size_t last) {
-    for (std::size_t s = first; s < last; ++s) {
-      const std::vector<Entry>& entries = scratch[s];
-      if (entries.empty()) continue;
-      // One epoch pin per shard chunk: every request drained here serves
-      // under the same tables, even if a publish lands mid-chunk.
-      const std::shared_ptr<ServerEpoch> epoch = current();
-      CR_CHECK_MSG(epoch != nullptr, "pump with no published epoch");
-      EpochPin pin(*epoch);
+  // One epoch pin per pump: the whole drained wave serves under the same
+  // tables, even if a publish lands mid-wave.
+  const std::shared_ptr<ServerEpoch> epoch = current();
+  CR_CHECK_MSG(epoch != nullptr, "pump with no published epoch");
+  EpochPin pin(*epoch);
+
+  // Shards only stripe the submit-side lock: the wave serves in one
+  // (scheme, destination) order across every shard's requests.
+  keys.resize(total);
+  for (std::size_t k = 0; k < total; ++k) {
+    const Entry& entry = wave[k];
+    CR_CHECK_MSG(entry.id < results.size(),
+                 "result slot out of range for request id");
+    keys[k].dest_key = epoch->dest_key(entry.request.scheme, entry.request.dest);
+    keys[k].item = k;
+    keys[k].scheme = static_cast<std::uint8_t>(entry.request.scheme);
+  }
+
+  // Workers see the pumping thread's wave through this pointer (a
+  // thread_local named inside the chunk would be the worker's own).
+  const Entry* entries = wave.data();
+  dispatch_sorted("server.pump", keys,
+                  [&](const DispatchKey* first, const DispatchKey* last) {
 #ifndef CR_OBS_DISABLED
-      obs::LogHistogram* latency_hist =
-          options_.collect_latencies
-              ? &obs::local_registry().log_histogram("serve.latency_us", 1e-2,
-                                                     1e7, 16)
-              : nullptr;
+    obs::LogHistogram* latency_hist =
+        options_.collect_latencies ? &serve_latency_histogram() : nullptr;
 #endif
-      for (const Entry& entry : entries) {
-        CR_CHECK_MSG(entry.id < results.size(),
-                     "result slot out of range for request id");
-        std::size_t hops = 0;
-        const std::uint64_t fp =
-            epoch->serve(entry.request, options_.max_hops, &hops);
-        ServerResult& slot = results[entry.id];
-        slot.fingerprint = fp;
-        slot.epoch = epoch->id();
-        slot.hops = static_cast<std::uint32_t>(hops);
-        if (options_.collect_latencies) {
-          slot.latency_us = now_us() - entry.submit_ts_us;
+    for (const DispatchKey* key = first; key != last; ++key) {
+      const Entry& entry = entries[key->item];
+      ServeRequest request;
+      request.src = entry.request.src;
+      request.dest_key = key->dest_key;
+      std::size_t hops = 0;
+      const std::uint64_t fp = epoch->serve_keyed(
+          entry.request.scheme, request, options_.max_hops, &hops);
+      ServerResult& slot = results[entry.id];
+      slot.fingerprint = fp;
+      slot.epoch = epoch->id();
+      slot.hops = static_cast<std::uint32_t>(hops);
+      if (options_.collect_latencies) {
+        slot.latency_us = now_us() - entry.submit_ts_us;
 #ifndef CR_OBS_DISABLED
-          latency_hist->record(slot.latency_us);
+        latency_hist->record(slot.latency_us);
 #endif
-        }
-        slot.status.store(ServeStatus::kDelivered, std::memory_order_release);
       }
+      slot.status.store(ServeStatus::kDelivered, std::memory_order_release);
     }
   });
   served_.fetch_add(total, std::memory_order_relaxed);

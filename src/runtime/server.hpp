@@ -46,6 +46,7 @@
 #include "io/snapshot.hpp"
 #include "io/snapshot_mmap.hpp"
 #include "runtime/hop_scheme.hpp"
+#include "runtime/serve.hpp"
 
 namespace compactroute {
 
@@ -168,6 +169,11 @@ class ServerEpoch {
   std::uint64_t serve(const ServerRequest& request, std::size_t max_hops,
                       std::size_t* hops) const;
 
+  /// serve() for a request whose destination key was already resolved by
+  /// dest_key() on this epoch.
+  std::uint64_t serve_keyed(ServeScheme scheme, const ServeRequest& request,
+                            std::size_t max_hops, std::size_t* hops) const;
+
   /// Digest of a fixed seeded self-audit batch over every present scheme,
   /// computed once at load. audit() re-serves the same batch and returns
   /// whether the digest still matches — the cross-flip fingerprint check.
@@ -256,11 +262,13 @@ class Server {
   /// blocks until room or stop().
   bool submit(const ServerRequest& request, std::uint64_t id);
 
-  /// Drains every shard and serves the drained requests on the Executor (one
-  /// chunk per shard), writing results[id] for each. Each shard's chunk pins
-  /// the current epoch once. `results` must outlive the call and be sized
-  /// past every in-flight id. Returns the number of requests served. Safe to
-  /// call concurrently (drains are exactly-once; slots are id-disjoint).
+  /// Drains every shard, merges the drained requests into one wave, and
+  /// serves it through dispatch_sorted (runtime/serve.hpp): (scheme,
+  /// destination key) order, 64-request chunks on the Executor, writing
+  /// results[id] for each. The whole wave serves under one pin of the
+  /// current epoch. `results` must outlive the call and be sized past every
+  /// in-flight id. Returns the number of requests served. Safe to call
+  /// concurrently (drains are exactly-once; slots are id-disjoint).
   std::size_t pump(std::vector<ServerResult>& results);
 
   /// pump() until every shard is empty.

@@ -17,6 +17,10 @@
 //   * backpressure — a full shard blocks the submitter instead of shedding;
 //     with a pumper thread draining, every request is eventually delivered
 //     and the shed counter stays zero;
+//   * sorted merged pump — a 3-shard wave served in (scheme, destination)
+//     order gives every slot its own route, folds per scheme to
+//     serve_batch's fingerprint, and serves under one epoch even while
+//     another thread publishes;
 //   * grace counting + publish audit plumbing.
 #include <gtest/gtest.h>
 
@@ -428,6 +432,111 @@ TEST(Server, BackpressureBlocksInsteadOfShedding) {
     expected = Server::delivered_digest(golden);
   }
   EXPECT_EQ(Server::delivered_digest(results), expected);
+}
+
+// One pump merges every shard's drain into one sorted wave (DESIGN.md §12).
+// The order may not show in any output: each slot must hold its own route,
+// each scheme's slots must digest to that scheme's serve_batch fingerprint,
+// and the whole wave must serve under one epoch even while another thread
+// keeps publishing.
+TEST(Server, SortedMergedPumpMatchesServeAndServeBatch) {
+  constexpr std::size_t kBurst = 1000;  // ~16 dispatch chunks, 4 schemes
+  Executor::global().set_workers(4);
+  const auto epoch = make_epoch(0);
+  const auto requests = mixed_requests(64, kBurst, 45);
+
+  ServerOptions options;
+  options.queue_depth = 512;
+  options.shards = 3;
+  Server server(options);
+  server.publish(epoch);
+  std::vector<ServerResult> results(kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(server.submit(requests[i], i));
+  }
+  ASSERT_EQ(server.pump(results), kBurst);  // one wave drains all 3 shards
+
+  std::uint64_t expected_digest = 0;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_EQ(results[i].status.load(), ServeStatus::kDelivered);
+    std::size_t hops = 0;
+    const std::uint64_t fp = epoch->serve(requests[i], 0, &hops);
+    EXPECT_EQ(results[i].fingerprint, fp) << "request " << i;
+    EXPECT_EQ(results[i].hops, hops) << "request " << i;
+    EXPECT_EQ(results[i].epoch, epoch->id());
+    expected_digest = fold_batch_digest(expected_digest, fp, i);
+  }
+  EXPECT_EQ(Server::delivered_digest(results), expected_digest);
+
+  // Per scheme: the slots of that scheme's requests, in id order, digest to
+  // serve_batch's fingerprint of the same requests.
+  ServeOptions batch_options;
+  batch_options.collect_latencies = false;
+  batch_options.instrument = false;
+  for (std::size_t s = 0; s < kNumServeSchemes; ++s) {
+    const ServeScheme scheme = static_cast<ServeScheme>(s);
+    SCOPED_TRACE(serve_scheme_name(scheme));
+    std::vector<ServerResult> served;
+    std::vector<ServeRequest> batch;
+    std::uint64_t served_hops = 0;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      if (requests[i].scheme != scheme) continue;
+      served.push_back(results[i]);
+      served_hops += results[i].hops;
+      ServeRequest one;
+      one.src = requests[i].src;
+      one.dest_key = epoch->dest_key(scheme, requests[i].dest);
+      batch.push_back(one);
+    }
+    ASSERT_GT(batch.size(), kDispatchChunk);
+    const ServeStats stats =
+        serve_batch(epoch->csr(), *epoch->hop_scheme(scheme), batch,
+                    batch_options);
+    EXPECT_EQ(Server::delivered_digest(served), stats.fingerprint);
+    EXPECT_EQ(served_hops, stats.total_hops);
+  }
+
+  // Concurrent publishes: every pump's wave carries one epoch id, and each
+  // route is the one that epoch's tables give. One worker serves the wave's
+  // chunks one after another, so a wave spans many flips of the publisher,
+  // which alternates two prebuilt epochs.
+  Executor::global().set_workers(1);
+  const auto other = make_epoch(1);
+  std::vector<std::uint64_t> golden_a(kBurst), golden_b(kBurst);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    golden_a[i] = epoch->serve(requests[i], 0, nullptr);
+    golden_b[i] = other->serve(requests[i], 0, nullptr);
+  }
+  std::atomic<bool> stop_publisher{false};
+  std::thread publisher([&] {
+    for (std::size_t k = 1; !stop_publisher.load(std::memory_order_acquire);
+         ++k) {
+      server.publish(k % 2 == 1 ? other : epoch);
+    }
+  });
+  std::size_t flips_seen = 0;
+  std::uint64_t previous_epoch = epoch->id();
+  for (std::size_t round = 0; round < 500 && flips_seen < 8; ++round) {
+    for (ServerResult& r : results) {
+      r.status.store(ServeStatus::kPending, std::memory_order_relaxed);
+    }
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      ASSERT_TRUE(server.submit(requests[i], i));
+    }
+    ASSERT_EQ(server.pump(results), kBurst);
+    const std::uint64_t wave_epoch = results[0].epoch;
+    if (wave_epoch != previous_epoch) ++flips_seen;
+    previous_epoch = wave_epoch;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      ASSERT_EQ(results[i].epoch, wave_epoch) << "round " << round;
+      ASSERT_EQ(results[i].fingerprint,
+                wave_epoch % 2 == 0 ? golden_a[i] : golden_b[i])
+          << "round " << round << " request " << i;
+    }
+  }
+  stop_publisher.store(true, std::memory_order_release);
+  publisher.join();
+  EXPECT_GE(flips_seen, 1u) << "no publish landed between pumps";
 }
 
 TEST(Server, StopRejectsSubmitsAndWakesBackpressure) {
