@@ -5,8 +5,10 @@
 // offline; routing decisions must be cheap).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
@@ -19,6 +21,9 @@
 #include "nets/ball_packing.hpp"
 #include "nets/rnet.hpp"
 #include "routing/naming.hpp"
+#include "runtime/serve.hpp"
+#include "runtime/server.hpp"
+#include "runtime/traffic.hpp"
 #include "search/search_tree.hpp"
 
 namespace compactroute {
@@ -196,6 +201,56 @@ void BM_ScaleFreeNameIndependentRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScaleFreeNameIndependentRoute);
+
+// The dispatch order of one Server wave: 6,144 keys (crbench's capacity
+// wave on 3 shards × 2,048), four schemes round-robin over n = 1024, keyed
+// by a leaf-label permutation (labeled schemes) or a name permutation (NI
+// schemes). Arg "radix": 0 = std::sort on (scheme, dest_key, item), 1 =
+// sort_dispatch_keys. Arg "zipf": 0 = uniform, 1 = Zipf(1) destinations.
+void BM_DispatchOrder(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1024;
+  constexpr std::size_t kWave = 6144;
+  const bool radix = state.range(0) != 0;
+  TrafficOptions traffic;
+  traffic.shape =
+      state.range(1) != 0 ? TrafficShape::kZipf : TrafficShape::kUniform;
+  const ServeScheme mix[] = {ServeScheme::kHierarchical,
+                             ServeScheme::kScaleFree, ServeScheme::kSimpleNi,
+                             ServeScheme::kScaleFreeNi};
+  const std::vector<ServerRequest> requests =
+      make_traffic(kNodes, kWave, 7, mix, traffic);
+  const Naming labels = Naming::random(kNodes, 8);
+  const Naming names = Naming::random(kNodes, 9);
+  std::vector<DispatchKey> wave(kWave);
+  for (std::size_t k = 0; k < kWave; ++k) {
+    const ServerRequest& r = requests[k];
+    wave[k].scheme = static_cast<std::uint8_t>(r.scheme);
+    wave[k].dest_key = r.scheme == ServeScheme::kHierarchical ||
+                               r.scheme == ServeScheme::kScaleFree
+                           ? labels.name_of(r.dest)
+                           : names.name_of(r.dest);
+    wave[k].item = k;
+  }
+  std::vector<DispatchKey> keys;
+  for (auto _ : state) {
+    state.PauseTiming();
+    keys = wave;
+    state.ResumeTiming();
+    if (radix) {
+      sort_dispatch_keys(keys);
+    } else {
+      std::sort(keys.begin(), keys.end());
+    }
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kWave);
+}
+BENCHMARK(BM_DispatchOrder)
+    ->ArgNames({"radix", "zipf"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
 
 }  // namespace
 }  // namespace compactroute

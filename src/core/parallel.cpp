@@ -119,6 +119,7 @@ struct Executor::Pool {
   std::shared_ptr<Job> current;
   std::uint64_t generation = 0;
   bool stop = false;
+  std::atomic<std::size_t> spawned{0};  // helper threads ever started
 
   std::atomic<std::size_t> override_workers{0};
 
@@ -161,6 +162,7 @@ struct Executor::Pool {
     for (std::size_t i = 0; i < count; ++i) {
       threads.emplace_back([this] { worker_loop(); });
     }
+    spawned.fetch_add(count, std::memory_order_relaxed);
   }
 
   void shutdown() {
@@ -189,6 +191,10 @@ void Executor::set_workers(std::size_t n) {
   pool_->override_workers.store(n, std::memory_order_relaxed);
 }
 
+std::size_t Executor::threads_spawned() const {
+  return pool_->spawned.load(std::memory_order_relaxed);
+}
+
 void Executor::run(const char* region, std::size_t n, std::size_t chunk,
                    ChunkFn fn, void* ctx) {
   if (n == 0) return;
@@ -215,9 +221,11 @@ void Executor::run(const char* region, std::size_t n, std::size_t chunk,
     return;
   }
 
+  // The pool is sized by the configured worker count, not by this region's
+  // chunk count: helpers that find no chunk go back to sleep, so a small
+  // region between two large ones joins and respawns no thread.
   std::lock_guard<std::mutex> run_lock(pool_->run_mutex);
-  const std::size_t w = std::min(workers(), num_chunks);
-  pool_->ensure_threads(w - 1);
+  pool_->ensure_threads(workers() - 1);
 
   auto job = std::make_shared<Job>();
   job->fn = fn;

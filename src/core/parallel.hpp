@@ -52,6 +52,11 @@ class Executor {
   void run(const char* region, std::size_t n, std::size_t chunk, ChunkFn fn,
            void* ctx);
 
+  /// Helper threads this executor has started so far (monotone). The pool
+  /// holds workers() - 1 helpers and is rebuilt only when the worker count
+  /// changes, so regions of any chunk count leave this unchanged.
+  std::size_t threads_spawned() const;
+
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;

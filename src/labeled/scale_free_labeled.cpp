@@ -81,6 +81,14 @@ void ScaleFreeLabeledScheme::build_rings() {
       }
     }
   }
+  // No ring of R(u) is empty: Y_i covers V within 2^i and the ring reaches
+  // 2^i/ε ≥ 2·2^i. The walk's density-gap test and the arena stepper, which
+  // reads the next lower level of R(u) off the ring slab, rely on it.
+  for (NodeId u = 0; u < n; ++u) {
+    for (const std::vector<RingEntry>& ring : rings_[u]) {
+      CR_CHECK_MSG(!ring.empty(), "a ring of R(u) holds no net point");
+    }
+  }
 }
 
 void ScaleFreeLabeledScheme::build_node_levels(NodeId u) {
@@ -254,6 +262,14 @@ ScaleFreeLabeledScheme::minimal_hit(NodeId u, NodeId dest_label) const {
   return {-1, nullptr};
 }
 
+bool ScaleFreeLabeledScheme::density_gap(NodeId u, int level) const {
+  // Rings of R(u) are never empty (build_rings), so "L − 1 ∈ R(u)" and "u
+  // has a ring at L − 1" are the same test.
+  const std::vector<int>& levels = level_set_[u];
+  return level > 0 &&
+         !std::binary_search(levels.begin(), levels.end(), level - 1);
+}
+
 int ScaleFreeLabeledScheme::density_exponent(NodeId u, Weight radius) const {
   int j = 0;
   while (j + 1 <= max_exponent_ && size_radius_[j + 1][u] <= radius) ++j;
@@ -298,8 +314,11 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
     // entry->x == pos means u_k = v(i_k): no walking can help, hand off.
     // (For ε < 1/2 the distance test already fails; at the ε = 1/2 boundary
     // the threshold degenerates to 0 and needs this explicit guard.)
+    // The distance test (line 3) decides only above a density gap; without
+    // one the step is the hierarchical scheme's own step (DESIGN.md §11).
     if (entry->x != pos && level <= prev_level &&
-        metric_->dist(pos, entry->x) >= threshold) {
+        (metric_->dist(pos, entry->x) >= threshold ||
+         !density_gap(pos, level))) {
       pos = entry->next_hop;
       result.path.push_back(pos);
       prev_level = level;

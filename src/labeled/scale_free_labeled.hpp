@@ -6,7 +6,8 @@
 // only for the level set R(u) = { i : ∃j, (ε/6) r_u(j) ≤ 2^i ≤ r_u(j) } of
 // size O(log n · log(1/ε)) — the levels that "see" a change in local density.
 // When the descent stalls (Algorithm 5 line 3: the level would rise, or the
-// current ring target is already close), the packet hands off to the ball
+// current ring target is already close while the level just below it is
+// missing from R(u) — a density gap), the packet hands off to the ball
 // packing ℬ_j at the density scale j matching 2^{i_t} (r_{u_t}(j) ≤ 2^{i_t}
 // < r_{u_t}(j+1)): it rides the Voronoi shortest-path tree T_c(j) to its
 // region center c, retrieves the destination's *local* tree-routing label
@@ -160,6 +161,9 @@ class ScaleFreeLabeledScheme final : public LabeledScheme {
   /// inverted per-level scatter in build_rings.
   void build_node_levels(NodeId u);
   void build_packings();
+  /// Whether ring level `level` of R(u) sits above a density gap: level > 0
+  /// and level − 1 ∉ R(u). Only there does the walk's distance test decide.
+  bool density_gap(NodeId u, int level) const;
 
   const MetricSpace* metric_ = nullptr;
   const NetHierarchy* hierarchy_ = nullptr;

@@ -319,21 +319,24 @@ class ScopedTimer {
 #define CR_OBS_COUNT(name) ((void)0)
 #define CR_OBS_ADD(name, delta) ((void)0)
 #define CR_OBS_HOT_COUNT(name) ((void)0)
+#define CR_OBS_HOT_ADD(name, delta) ((void)0)
 #define CR_OBS_SCOPED_TIMER(name) ((void)0)
 #else
 #define CR_OBS_COUNT(name) \
   ::compactroute::obs::local_registry().counter(name).inc()
 #define CR_OBS_ADD(name, delta) \
   ::compactroute::obs::local_registry().counter(name).inc(delta)
-// Per-hop-grade counting: resolves the shard-local counter once per thread
-// per call site and caches the pointer (registry nodes are stable), so the
-// steady state is a single relaxed fetch_add.
-#define CR_OBS_HOT_COUNT(name)                                      \
+// Per-request-grade counting: resolves the shard-local counter once per
+// thread per call site and caches the pointer (registry nodes are stable),
+// so the steady state is a single relaxed fetch_add — no name string, no
+// registry lock, no map lookup.
+#define CR_OBS_HOT_ADD(name, delta)                                 \
   do {                                                              \
     static thread_local ::compactroute::obs::Counter* cr_obs_hot_ = \
         &::compactroute::obs::local_registry().counter(name);       \
-    cr_obs_hot_->inc();                                             \
+    cr_obs_hot_->inc(delta);                                        \
   } while (0)
+#define CR_OBS_HOT_COUNT(name) CR_OBS_HOT_ADD(name, 1)
 #define CR_OBS_SCOPED_TIMER(name)                     \
   ::compactroute::obs::ScopedTimer CR_OBS_CONCAT(     \
       cr_obs_span_, __LINE__)(                        \

@@ -2,7 +2,6 @@
 
 #include "core/check.hpp"
 #include "labeled/hierarchical_labeled.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/hop_arena.hpp"
 
 namespace compactroute {
@@ -26,7 +25,6 @@ HierarchicalHopScheme::HierarchicalHopScheme(
 
 bool HierarchicalHopScheme::step(NodeId at, HopHeader& header,
                                  NodeId* next) const {
-  CR_OBS_HOT_COUNT("hop.arena.steps");
   const HopArena& a = *arena_;
   const NodeId dest = static_cast<NodeId>(header.dest);
   if (a.leaf_label[at] == dest) return true;

@@ -23,7 +23,6 @@
 #include "labeled/scale_free_labeled.hpp"
 #include "nameind/scale_free_nameind.hpp"
 #include "nameind/simple_nameind.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/hop_arena.hpp"
 #include "runtime/hop_scale_free_ni.hpp"
 #include "runtime/hop_simple_ni.hpp"
@@ -106,7 +105,6 @@ TracePhase ni_phase_of(const HopHeader& header) {
 template <typename Ride>
 bool ni_step(const HopArena& a, const Ride& ride, NodeId at, HopHeader& h,
              NodeId* next) {
-  CR_OBS_HOT_COUNT("hop.arena.steps");
   const std::size_t n = a.n;
   const auto start_ride = [&](NodeId label, Continuation continuation) {
     h.inner_phase = continuation;

@@ -2,10 +2,26 @@
 
 #include "core/check.hpp"
 #include "labeled/scale_free_labeled.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/hop_arena.hpp"
 
 namespace compactroute {
+
+namespace {
+
+/// Whether the minimal ring hit `hit` of node `at` sits above a density gap:
+/// its level L > 0 and L − 1 ∉ R(at) (the scheme's density_gap). Ring rows
+/// are level-ascending per node and no ring of R(at) is empty, so the entry
+/// just before hit's level group carries the next lower level of R(at).
+bool density_gap(const HopArena& a, NodeId at, std::uint32_t hit) {
+  const std::int16_t level = a.sf.level[hit];
+  if (level == 0) return false;
+  const std::uint32_t first = a.sf.node_off[at];
+  std::uint32_t k = hit;
+  while (k > first && a.sf.level[k - 1] == level) --k;
+  return k == first || a.sf.level[k - 1] != level - 1;
+}
+
+}  // namespace
 
 ScaleFreeHopScheme::ScaleFreeHopScheme(std::shared_ptr<const HopArena> arena)
     : arena_(std::move(arena)) {
@@ -57,7 +73,6 @@ TracePhase ScaleFreeHopScheme::phase_of(const HopHeader& header) const {
 }
 
 bool ScaleFreeHopScheme::step(NodeId at, HopHeader& h, NodeId* next) const {
-  CR_OBS_HOT_COUNT("hop.arena.steps");
   const HopArena& a = *arena_;
   const std::size_t n = a.n;
   const NodeId dest_label = static_cast<NodeId>(h.dest);
@@ -80,8 +95,11 @@ bool ScaleFreeHopScheme::step(NodeId at, HopHeader& h, NodeId* next) const {
                            end, dest_label);
         CR_CHECK_MSG(hit < end, "top ring always holds the hierarchy root");
         const std::int16_t level = a.sf.level[hit];
+        // The distance test first: at ε = 1/2 its threshold is 0, so it
+        // always passes and the gap test reads no further entry.
         if (a.sf.x[hit] != at && level <= h.level &&
-            a.sf.dist[hit] >= a.sf.walk_threshold[level]) {
+            (a.sf.dist[hit] >= a.sf.walk_threshold[level] ||
+             !density_gap(a, at, hit))) {
           h.level = level;
           *next = a.sf.next[hit];
           a.prefetch_sf_rings(*next);

@@ -24,6 +24,7 @@
 #include "core/types.hpp"
 #include "graph/csr.hpp"
 #include "graph/metric.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace compactroute {
@@ -94,7 +95,9 @@ inline std::size_t default_hop_budget(std::size_t n) { return 64 * n + 1024; }
 /// post-decision header. Returns the number of hops once the scheme
 /// delivers; throws InvariantError if it forwards to a non-neighbor or has
 /// not delivered within max_hops hops. on_hop is a template parameter so
-/// the per-hop action inlines into the loop.
+/// the per-hop action inlines into the loop. A delivered route adds its
+/// hops + 1 step() calls of `scheme` to the "hop.arena.steps" counter, once
+/// per route.
 template <typename OnHop>
 std::size_t walk_hops(const CsrGraph& csr, const HopScheme& scheme,
                       HopHeader& header, NodeId src, std::size_t max_hops,
@@ -104,7 +107,10 @@ std::size_t walk_hops(const CsrGraph& csr, const HopScheme& scheme,
   for (std::size_t hops = 0; hops <= max_hops; ++hops) {
     // In-place stepping: the arena runtimes mutate the header with zero
     // allocations.
-    if (scheme.step(at, header, &next)) return hops;
+    if (scheme.step(at, header, &next)) {
+      CR_OBS_HOT_ADD("hop.arena.steps", hops + 1);
+      return hops;
+    }
     // The locality contract: every forwarded hop must be a real graph edge.
     // Low-degree spans (the common case in doubling metrics) certify with a
     // branchless sweep; CSR targets are sorted, so high degrees bisect.

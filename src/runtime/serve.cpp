@@ -1,8 +1,10 @@
 #include "runtime/serve.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "core/check.hpp"
 #include "core/parallel.hpp"
@@ -25,6 +27,35 @@ obs::LogHistogram& route_hops_histogram() {
 }
 #endif
 
+/// Puts `count` keys of one scheme, in item order at `in`, into (dest_key,
+/// item) order at `out`, clobbering `in`. A stable LSD radix: one counting
+/// pass and one scatter per byte set in `varying` (the dest_key bits that
+/// differ among these keys), ping-ponging between the two buffers.
+void sort_one_scheme(DispatchKey* in, DispatchKey* out, std::size_t count,
+                     std::uint64_t varying) {
+  if (count < kDispatchRadixMin) {
+    std::sort(in, in + count);
+    std::copy(in, in + count, out);
+    return;
+  }
+  DispatchKey* from = in;
+  DispatchKey* to = out;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<std::size_t, 256> offset{};
+    for (std::size_t k = 0; k < count; ++k) {
+      ++offset[(from[k].dest_key >> shift) & 0xff];
+    }
+    std::size_t sum = 0;
+    for (std::size_t& slot : offset) sum += std::exchange(slot, sum);
+    for (std::size_t k = 0; k < count; ++k) {
+      to[offset[(from[k].dest_key >> shift) & 0xff]++] = from[k];
+    }
+    std::swap(from, to);
+  }
+  if (from != out) std::copy(from, from + count, out);
+}
+
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0;
   const double rank = q * static_cast<double>(sorted.size() - 1);
@@ -35,6 +66,42 @@ double percentile(const std::vector<double>& sorted, double q) {
 }
 
 }  // namespace
+
+void sort_dispatch_keys(std::vector<DispatchKey>& keys) {
+  const std::size_t count = keys.size();
+  if (count < kDispatchRadixMin) {
+    std::sort(keys.begin(), keys.end());
+    return;
+  }
+  // Counting pass on the scheme, gathering each scheme's dest_key bits that
+  // are set in some key (any) and in every key (all).
+  constexpr std::size_t kSchemes = 256;
+  std::array<std::size_t, kSchemes + 1> start{};
+  std::array<std::uint64_t, kSchemes> any{};
+  std::array<std::uint64_t, kSchemes> all;
+  all.fill(~std::uint64_t{0});
+  for (const DispatchKey& key : keys) {
+    ++start[key.scheme + 1];
+    any[key.scheme] |= key.dest_key;
+    all[key.scheme] &= key.dest_key;
+  }
+  for (std::size_t s = 0; s < kSchemes; ++s) start[s + 1] += start[s];
+
+  // Stable scatter into scheme buckets, then each bucket in dest_key order
+  // back into `keys`.
+  static thread_local std::vector<DispatchKey> spare;
+  spare.resize(count);
+  std::array<std::size_t, kSchemes> fill;
+  std::copy(start.begin(), start.end() - 1, fill.begin());
+  for (const DispatchKey& key : keys) spare[fill[key.scheme]++] = key;
+  for (std::size_t s = 0; s < kSchemes; ++s) {
+    const std::size_t first = start[s];
+    const std::size_t size = start[s + 1] - first;
+    if (size == 0) continue;
+    sort_one_scheme(spare.data() + first, keys.data() + first, size,
+                    any[s] ^ all[s]);
+  }
+}
 
 std::vector<ServeRequest> make_requests(
     std::size_t n, std::size_t count, std::uint64_t seed,

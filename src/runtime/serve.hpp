@@ -13,10 +13,13 @@
 //
 // Dispatch order: every batch in the library — a serve_batch replay and
 // each wave a Server pump drains — is served through dispatch_sorted. The
-// whole batch is sorted by (scheme, destination key) and then handed to
+// whole batch is put in (scheme, destination key) order and then handed to
 // the Executor in 64-request chunks, so requests toward one destination run
 // back to back and revisit the same arena rows while they are still cached.
-// Results land in per-request slots, so the order moves speed, never output.
+// The order is built by a counting pass on the scheme and a stable LSD radix
+// over the destination-key bytes the keys actually use (sort_dispatch_keys),
+// not by a comparison sort. Results land in per-request slots, so the order
+// moves speed, never output.
 //
 // Fingerprints: each request folds its visited node sequence into a 64-bit
 // FNV-style hash (RouteFingerprint); a batch combines per-request
@@ -105,15 +108,29 @@ struct DispatchKey {
   }
 };
 
-/// Sorts `keys` into serve order, then runs serve_chunk(first, last) over
-/// consecutive kDispatchChunk-key ranges [first, last) on the Executor
-/// (parallel_for region `region`, a string literal). serve_chunk must write
-/// only per-request slots, so the results do not depend on the order or on
-/// the worker count.
+/// Below this many keys (a whole batch, or one scheme's share of it) the
+/// dispatch order is a comparison sort: a radix pass touches 256 counters
+/// however few keys it moves.
+inline constexpr std::size_t kDispatchRadixMin = 256;
+
+/// Puts `keys` into serve order, exactly the order std::sort gives them
+/// under operator<. `keys` must arrive in ascending `item` order (as every
+/// caller builds them): a stable counting pass on `scheme`, then per scheme a
+/// stable LSD radix over the `dest_key` bytes that differ within that
+/// scheme, so equal (scheme, dest_key) keys keep their item order. Schemes
+/// with fewer than kDispatchRadixMin keys, and batches that small, take
+/// std::sort. Scratch space is the calling thread's, reused across calls.
+void sort_dispatch_keys(std::vector<DispatchKey>& keys);
+
+/// Puts `keys` into serve order (sort_dispatch_keys), then runs
+/// serve_chunk(first, last) over consecutive kDispatchChunk-key ranges
+/// [first, last) on the Executor (parallel_for region `region`, a string
+/// literal). serve_chunk must write only per-request slots, so the results
+/// do not depend on the order or on the worker count.
 template <typename ServeChunk>
 void dispatch_sorted(const char* region, std::vector<DispatchKey>& keys,
                      ServeChunk&& serve_chunk) {
-  std::sort(keys.begin(), keys.end());
+  sort_dispatch_keys(keys);
   const DispatchKey* sorted = keys.data();
   parallel_for(region, keys.size(), kDispatchChunk,
                [&](std::size_t first, std::size_t last) {

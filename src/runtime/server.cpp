@@ -279,6 +279,7 @@ std::shared_ptr<ServerEpoch> Server::current() const {
 bool Server::submit(const ServerRequest& request, std::uint64_t id) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = *shards_[id % shards_.size()];
+  bool enqueued = false;
   {
     std::unique_lock<std::mutex> lock(shard.mu);
     for (;;) {
@@ -289,16 +290,22 @@ bool Server::submit(const ServerRequest& request, std::uint64_t id) {
         entry.id = id;
         entry.submit_ts_us = options_.collect_latencies ? now_us() : 0;
         shard.ring.push_back(entry);
-        enqueued_.fetch_add(1, std::memory_order_relaxed);
-        CR_OBS_COUNT("serve.queue.enqueued");
-        return true;
+        enqueued = true;
+        break;
       }
       if (!options_.backpressure) break;
       shard.room.wait(lock);
     }
   }
+  // Counted after the shard lock is released, through per-thread cached
+  // handles: the request path does no by-name registry lookup.
+  if (enqueued) {
+    enqueued_.fetch_add(1, std::memory_order_relaxed);
+    CR_OBS_HOT_COUNT("serve.queue.enqueued");
+    return true;
+  }
   shed_.fetch_add(1, std::memory_order_relaxed);
-  CR_OBS_COUNT("serve.queue.shed");
+  CR_OBS_HOT_COUNT("serve.queue.shed");
   return false;
 }
 
@@ -322,7 +329,7 @@ std::size_t Server::pump(std::vector<ServerResult>& results) {
   // Monotone time-integral proxy for instantaneous depth: every pump adds
   // the occupancy it observed, so depth-per-pump is recoverable from two
   // scrapes (DESIGN.md §12).
-  CR_OBS_ADD("serve.queue.depth", total);
+  CR_OBS_HOT_ADD("serve.queue.depth", total);
 
   // One epoch pin per pump: the whole drained wave serves under the same
   // tables, even if a publish lands mid-wave.

@@ -1,7 +1,9 @@
 #include "reference_hop.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/check.hpp"
 #include "nets/rnet.hpp"
@@ -86,7 +88,14 @@ ReferenceHopScheme::Decision ReferenceScaleFreeHop::decide(
         const auto [level, entry] = scheme_->minimal_hit(at, dest_label);
         const Weight threshold =
             level_radius(level) / (2 * scheme_->epsilon()) - level_radius(level);
-        if (entry->x != at && level <= h.level && entry->dist_x >= threshold) {
+        // The distance test decides only above a density gap (L > 0 and
+        // L − 1 ∉ R(at)); without one the walk takes the hierarchical step.
+        const std::vector<int>& levels = scheme_->level_set(at);
+        const bool gap = level > 0 && !std::binary_search(levels.begin(),
+                                                          levels.end(),
+                                                          level - 1);
+        if (entry->x != at && level <= h.level &&
+            (entry->dist_x >= threshold || !gap)) {
           h.level = static_cast<std::int16_t>(level);
           decision.next = entry->next_hop;
           return decision;

@@ -40,15 +40,15 @@ constexpr std::size_t kPairs = 400;
 constexpr double kEps = 0.5;
 
 struct ArenaFixture {
-  explicit ArenaFixture(const Graph& g)
+  explicit ArenaFixture(const Graph& g, double eps = kEps)
       : metric(g),
         hierarchy(metric),
         naming(Naming::random(metric.n(), 47)),
-        hier(metric, hierarchy, kEps),
-        sf(metric, hierarchy, kEps),
-        simple(metric, hierarchy, naming, hier, kEps),
-        sfni(metric, hierarchy, naming, sf, kEps),
-        loaded(decode_snapshot(encode_snapshot(metric, kEps, hierarchy, naming,
+        hier(metric, hierarchy, eps),
+        sf(metric, hierarchy, eps),
+        simple(metric, hierarchy, naming, hier, eps),
+        sfni(metric, hierarchy, naming, sf, eps),
+        loaded(decode_snapshot(encode_snapshot(metric, eps, hierarchy, naming,
                                                hier, sf, simple, sfni))),
         shared_arena(loaded.build_arena()) {}
 
@@ -173,6 +173,21 @@ TEST(HopArenaZooTest, GridGoldenAllSchemes) {
   }
 }
 
+// Below ε = 1/2 the scale-free walk's distance test is live and decides
+// only above a density gap; the stepper reads the gap off the ring slab, the
+// reference off R(u). Both scale-free runtimes (sf-NI rides sf) must agree
+// on a uniform grid (no gaps) and on a spider (gaps at every arm scale).
+TEST(HopArenaZooTest, ScaleFreeGoldenAtSmallEpsilon) {
+  for (const double eps : {0.25, 0.1}) {
+    for (const Graph& g : {make_grid(9, 7), make_exponential_spider(12, 4)}) {
+      SCOPED_TRACE(::testing::Message() << "eps " << eps << ", n " << g.num_nodes());
+      const ArenaFixture f(g, eps);
+      expect_scale_free_golden(f);
+      expect_scale_free_ni_golden(f);
+    }
+  }
+}
+
 #ifndef CR_OBS_DISABLED
 std::uint64_t counter_value(const char* name) {
   const auto scraped = obs::scrape_global();
@@ -181,7 +196,9 @@ std::uint64_t counter_value(const char* name) {
   return it == counters.end() ? 0 : it->second.value();
 }
 
-// Every hop steps against the flat slabs, metered by hop.arena.steps.
+// Every hop steps against the flat slabs, metered by hop.arena.steps: once
+// per route, hops + 1 step() calls of the served scheme (sf-NI's nested
+// scale-free steps are not counted again).
 TEST(HopArenaCounterTest, ArenaServeNeverTouchesReferenceContainers) {
   Executor::global().set_workers(1);
   ArenaFixture f(make_grid(8, 8));
@@ -192,19 +209,21 @@ TEST(HopArenaCounterTest, ArenaServeNeverTouchesReferenceContainers) {
 
   const std::uint64_t arena_before = counter_value("hop.arena.steps");
 
-  (void)serve_batch(f.metric.csr(), HierarchicalHopScheme(f.hier), labeled,
-                    options);
-  (void)serve_batch(f.metric.csr(), ScaleFreeHopScheme(f.sf), labeled,
-                    options);
-  (void)serve_batch(f.metric.csr(),
-                    SimpleNameIndependentHopScheme(f.simple, f.hier), named,
-                    options);
-  (void)serve_batch(f.metric.csr(),
-                    ScaleFreeNameIndependentHopScheme(f.sfni, f.sf), named,
-                    options);
+  std::uint64_t steps = 0;
+  const auto serve = [&](const HopScheme& scheme,
+                         const std::vector<ServeRequest>& requests) {
+    const ServeStats stats =
+        serve_batch(f.metric.csr(), scheme, requests, options);
+    steps += stats.total_hops + stats.requests;
+  };
+  serve(HierarchicalHopScheme(f.hier), labeled);
+  serve(ScaleFreeHopScheme(f.sf), labeled);
+  serve(SimpleNameIndependentHopScheme(f.simple, f.hier), named);
+  serve(ScaleFreeNameIndependentHopScheme(f.sfni, f.sf), named);
 
-  EXPECT_GT(counter_value("hop.arena.steps"), arena_before)
-      << "arena step counter should meter the serve";
+  EXPECT_EQ(counter_value("hop.arena.steps") - arena_before, steps)
+      << "arena step counter should meter every step() of the served "
+         "scheme, once per route";
 }
 #endif  // CR_OBS_DISABLED
 

@@ -119,6 +119,22 @@ TEST(Executor, SurvivesAnExceptionAndRunsTheNextRegion) {
   EXPECT_EQ(covered, 64u);
 }
 
+TEST(Executor, SmallRegionBetweenLargeOnesSpawnsNoThread) {
+  WorkerGuard guard;
+  Executor::global().set_workers(4);
+  std::atomic<std::size_t> covered{0};
+  const auto count = [&](std::size_t first, std::size_t last) {
+    covered += last - first;
+  };
+  parallel_for("test.large_before", 64, 4, count);  // 16 chunks: full pool
+  const std::size_t spawned = Executor::global().threads_spawned();
+  parallel_for("test.two_chunks", 8, 4, count);  // fewer chunks than workers
+  parallel_for("test.large_after", 64, 4, count);
+  EXPECT_EQ(Executor::global().threads_spawned(), spawned)
+      << "a region with fewer chunks than workers resized the pool";
+  EXPECT_EQ(covered, 136u);
+}
+
 TEST(Executor, NestedCallsRunInlineWithoutDeadlock) {
   WorkerGuard guard;
   Executor::global().set_workers(4);

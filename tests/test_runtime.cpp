@@ -4,6 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "core/prng.hpp"
 #include "gen/generators.hpp"
@@ -53,12 +55,20 @@ void expect_edge_path(const MetricSpace& metric, const Path& path) {
   }
 }
 
+// Parameters below kSmallEpsilonCase index the zoo at ε = 0.5; the same
+// graphs re-run at ε = 0.1 under kSmallEpsilonCase + index, where the
+// scale-free walk's distance test is live (its threshold is 0 at ε = 0.5),
+// so a scheme and a stepper that disagree on it cannot both pass.
+constexpr int kSmallEpsilonCase = 100;
+
 class HopZooTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     const auto zoo = small_graph_zoo();
-    graph_name_ = zoo[GetParam()].name;
-    fixture_ = std::make_unique<Fixture>(zoo[GetParam()].graph);
+    const int index = GetParam() % kSmallEpsilonCase;
+    const double eps = GetParam() >= kSmallEpsilonCase ? 0.1 : 0.5;
+    graph_name_ = zoo[index].name;
+    fixture_ = std::make_unique<Fixture>(zoo[index].graph, eps);
   }
   std::string graph_name_;
   std::unique_ptr<Fixture> fixture_;
@@ -152,6 +162,37 @@ INSTANTIATE_TEST_SUITE_P(Zoo, HopZooTest, ::testing::Range(0, 12),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return testing::small_graph_zoo()[info.param].name;
                          });
+INSTANTIATE_TEST_SUITE_P(
+    ZooSmallEpsilon, HopZooTest,
+    ::testing::Range(kSmallEpsilonCase, kSmallEpsilonCase + 12),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return testing::small_graph_zoo()[info.param - kSmallEpsilonCase].name;
+    });
+
+// The campaign's smallest stretch-ceiling failure at ε = 0.1 (labeled
+// scale-free, every walk handed off with no density gap to use): on the
+// 4×4 grid, R(u) holds every level, so every route must take the
+// hierarchical scheme's steps and stay within the labeled ceiling 1 + 20ε
+// (audit::StretchCeiling::labeled), in the scheme and in the served stepper.
+TEST(HopRuntime, ScaleFreeWalkHandsOffOnlyAtADensityGap) {
+  const double eps = 0.1;
+  const Fixture f(make_grid(4, 4), eps);
+  const ScaleFreeHopScheme hop(f.sf);
+  const double ceiling = 1 + 20 * eps;
+  for (NodeId u = 0; u < f.metric.n(); ++u) {
+    for (NodeId v = 0; v < f.metric.n(); ++v) {
+      if (u == v) continue;
+      const Weight d = f.metric.dist(u, v);
+      const RouteResult route = f.sf.route(u, f.sf.label(v));
+      ASSERT_TRUE(route.delivered);
+      EXPECT_LE(route.cost, ceiling * d + 1e-9) << u << " -> " << v;
+      const HopRun run = execute_hops(f.metric, hop, u, f.sf.label(v));
+      ASSERT_TRUE(run.delivered);
+      EXPECT_LE(run.cost, route.cost + 1e-9) << u << " -> " << v;
+      EXPECT_LE(run.cost, ceiling * d + 1e-9) << u << " -> " << v;
+    }
+  }
+}
 
 TEST(HopRuntime, HeaderBitsStayPolylog) {
   const Fixture f(make_random_geometric(120, 2, 4, 61));
@@ -370,6 +411,60 @@ TEST(HopRuntime, DeepSpiderExercisesHandoffPhases) {
     const HopRun run = execute_hops(f.metric, hop, u, f.sf.label(v));
     ASSERT_TRUE(run.delivered);
     ASSERT_EQ(run.path.back(), v);
+  }
+}
+
+// sort_dispatch_keys (counting pass on the scheme, LSD radix on the
+// destination key, std::sort below kDispatchRadixMin) must give exactly the
+// comparison sort's (scheme, dest_key, item) order on every key shape a
+// wave carries, on both sides of the radix threshold.
+TEST(ServeDispatch, OrderEqualsComparisonSort) {
+  enum class Shape { kLabels, kNames, kZipf, kWave };
+  const auto draw = [](Shape shape, std::uint8_t scheme,
+                       Prng& prng) -> std::uint64_t {
+    switch (shape) {
+      case Shape::kLabels:  // leaf labels of a graph below 2^11 nodes
+        return prng.next_below(std::uint64_t{1} << 11);
+      case Shape::kNames:  // full 64-bit names
+        return prng.next_u64();
+      case Shape::kZipf: {
+        // Zipf(1) ranks over 1024 destinations: P(k) ~ 1/k, heavy
+        // duplicates, each rank spread over all 64 bits.
+        const auto rank = static_cast<std::uint64_t>(
+            std::exp(prng.next_double() * std::log(1024.0)));
+        return rank * 0x9e3779b97f4a7c15ULL;
+      }
+      case Shape::kWave:  // a Server wave: labels for labeled schemes,
+                          // names for NI schemes
+        return scheme < 2 ? prng.next_below(1024) : prng.next_u64();
+    }
+    return std::uint64_t{0};
+  };
+  const auto as_tuple = [](const DispatchKey& k) {
+    return std::make_tuple(k.scheme, k.dest_key, k.item);
+  };
+  for (const std::size_t size : {0u, 1u, 255u, 256u, 6144u}) {
+    for (const Shape shape :
+         {Shape::kLabels, Shape::kNames, Shape::kZipf, Shape::kWave}) {
+      for (const std::uint8_t schemes : {1, 4}) {
+        Prng prng(1000 * size + 10 * static_cast<int>(shape) + schemes);
+        std::vector<DispatchKey> keys(size);
+        for (std::size_t i = 0; i < size; ++i) {
+          keys[i].scheme = static_cast<std::uint8_t>(prng.next_below(schemes));
+          keys[i].dest_key = draw(shape, keys[i].scheme, prng);
+          keys[i].item = i;
+        }
+        std::vector<DispatchKey> want = keys;
+        std::sort(want.begin(), want.end());
+        sort_dispatch_keys(keys);
+        ASSERT_EQ(keys.size(), want.size());
+        for (std::size_t i = 0; i < size; ++i) {
+          ASSERT_EQ(as_tuple(keys[i]), as_tuple(want[i]))
+              << "size " << size << ", shape " << static_cast<int>(shape)
+              << ", " << int{schemes} << " scheme(s), position " << i;
+        }
+      }
+    }
   }
 }
 
