@@ -315,7 +315,7 @@ RouteResult ScaleFreeLabeledScheme::route_with_trace(NodeId src,
     // (For ε < 1/2 the distance test already fails; at the ε = 1/2 boundary
     // the threshold degenerates to 0 and needs this explicit guard.)
     // The distance test (line 3) decides only above a density gap; without
-    // one the step is the hierarchical scheme's own step (DESIGN.md §11).
+    // one the step is the hierarchical scheme's own step (DESIGN.md §4).
     if (entry->x != pos && level <= prev_level &&
         (metric_->dist(pos, entry->x) >= threshold ||
          !density_gap(pos, level))) {
